@@ -261,13 +261,6 @@ Result<std::unique_ptr<TrainedModel>> AssociationService::Train(
     return InvalidArgument() << "MAXIMUM_ITEMSET_SIZE must be >= 1";
   }
 
-  double total_weight = 0;
-  for (const DataCase& c : cases) total_weight += c.weight;
-  double min_support = min_support_param < 1
-                           ? min_support_param * total_weight
-                           : min_support_param;
-  min_support = std::max(min_support, 1e-9);
-
   // Intern items and build sorted transactions.
   std::unordered_map<AssociationModel::Item, int, ItemHash> intern;
   std::vector<AssociationModel::Item> items;
@@ -280,7 +273,11 @@ Result<std::unique_ptr<TrainedModel>> AssociationService::Train(
   std::vector<std::vector<int>> transactions;
   std::vector<double> weights;
   transactions.reserve(cases.size());
+  double total_weight = 0;
+  size_t n = 0;
   for (const DataCase& c : cases) {
+    if ((n++ & 255) == 0) DMX_RETURN_IF_ERROR(GuardCheck());
+    total_weight += c.weight;
     std::vector<int> transaction;
     for (size_t g = 0; g < attrs.groups.size(); ++g) {
       const NestedGroup& group = attrs.groups[g];
@@ -307,6 +304,10 @@ Result<std::unique_ptr<TrainedModel>> AssociationService::Train(
     transactions.push_back(std::move(transaction));
     weights.push_back(c.weight);
   }
+  double min_support = min_support_param < 1
+                           ? min_support_param * total_weight
+                           : min_support_param;
+  min_support = std::max(min_support, 1e-9);
 
   // --- Apriori level-wise search ---
   std::vector<AssociationModel::Itemset> frequent;

@@ -339,12 +339,12 @@ Result<std::unique_ptr<TrainedModel>> ClusteringService::Train(
   std::vector<std::vector<double>> resp(n,
                                         std::vector<double>(num_clusters, 0));
   Rng rng(static_cast<uint64_t>(seed));
-  for (size_t i = 0; i < n; ++i) {
-    resp[i][rng.Uniform(num_clusters)] = 1.0;
-  }
-
   double total_weight = 0;
-  for (const DataCase& c : cases) total_weight += c.weight;
+  for (size_t i = 0; i < n; ++i) {
+    if ((i & 255) == 0) DMX_RETURN_IF_ERROR(GuardCheck());
+    resp[i][rng.Uniform(num_clusters)] = 1.0;
+    total_weight += cases[i].weight;
+  }
 
   std::vector<ClusteringModel::ClusterStats> clusters;
   double previous_ll = -std::numeric_limits<double>::infinity();

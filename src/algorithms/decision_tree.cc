@@ -539,10 +539,9 @@ DecisionTreeService::DecisionTreeService() {
   };
 }
 
-// Guarding is delegated to TreeBuilder::BuildNode, which checkpoints once
-// per emitted node (overhead proportional to tree size) and prunes the
-// remaining recursion when the guard trips.
-// dmx-lint: allow(guarded-loops)
+// Tree building delegates guarding to TreeBuilder::BuildNode, which
+// checkpoints once per emitted node (overhead proportional to tree size) and
+// prunes the remaining recursion when the guard trips.
 Result<std::unique_ptr<TrainedModel>> DecisionTreeService::Train(
     const AttributeSet& attrs, const std::vector<DataCase>& cases,
     const ParamMap& params) const {
@@ -561,7 +560,11 @@ Result<std::unique_ptr<TrainedModel>> DecisionTreeService::Train(
     return InvalidArgument() << "Decision_Trees model has no PREDICT column";
   }
   double total_weight = 0;
-  for (const DataCase& c : cases) total_weight += c.weight;
+  size_t n = 0;
+  for (const DataCase& c : cases) {
+    if ((n++ & 255) == 0) DMX_RETURN_IF_ERROR(GuardCheck());
+    total_weight += c.weight;
+  }
   std::vector<DecisionTreeModel::TargetTree> trees;
   trees.reserve(targets.size());
   for (int target : targets) {

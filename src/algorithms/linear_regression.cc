@@ -129,7 +129,6 @@ std::vector<double> LinearRegressionModel::FeatureVector(
 // Loops here are over the (fixed-size) feature vector; the per-case guard
 // checkpoint runs in the InsertCases driver right before each call
 // (core/mining_model.cc).
-// dmx-lint: allow(guarded-loops)
 Status LinearRegressionModel::ConsumeCase(const AttributeSet& attrs,
                                           const DataCase& c) {
   (void)attrs;

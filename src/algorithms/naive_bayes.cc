@@ -62,7 +62,6 @@ const std::string& NaiveBayesModel::service_name() const {
 // Loops here are per-attribute, bounded by the model definition; the
 // per-case guard checkpoint runs in the InsertCases driver right before
 // each call (core/mining_model.cc).
-// dmx-lint: allow(guarded-loops)
 Status NaiveBayesModel::ConsumeCase(const AttributeSet& attrs,
                                     const DataCase& c) {
   case_count_ += c.weight;

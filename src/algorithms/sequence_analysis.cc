@@ -66,7 +66,6 @@ std::vector<int> MarkovSequenceModel::OrderedItems(
 // Loops here are over one case's own sequence items; the per-case guard
 // checkpoint runs in the InsertCases driver right before each call
 // (core/mining_model.cc).
-// dmx-lint: allow(guarded-loops)
 Status MarkovSequenceModel::ConsumeCase(const AttributeSet& attrs,
                                         const DataCase& c) {
   case_count_ += c.weight;

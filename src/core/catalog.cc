@@ -10,8 +10,8 @@ Result<MiningModel*> ModelCatalog::CreateModel(ModelDefinition definition,
   // contract (the analyzer would fold it into a semantic error instead).
   DMX_ASSIGN_OR_RETURN(std::shared_ptr<MiningService> service,
                        registry.Find(definition.service_name));
-  // Semantic analysis next: unlike the legacy first-error Validate(), the
-  // analyzer reports every column-metadata violation in one message. The
+  // Semantic analysis next: the analyzer reports every column-metadata
+  // violation in one message, not just the first. The
   // registry goes into the context so service-dependent rules fire exactly
   // as they do for standalone AnalyzeText — notably predict-presence, which
   // hardens from warning to error for non-segmentation services. The

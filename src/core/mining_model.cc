@@ -42,6 +42,7 @@ Status MiningModel::InsertCases(RowsetReader* reader,
       DMX_RETURN_IF_ERROR(service_->ValidateBinding(attrs_));
       DMX_ASSIGN_OR_RETURN(trained_, service_->CreateEmpty(attrs_, params_));
       for (const Row& buffered : bootstrap) {
+        DMX_RETURN_IF_ERROR(GuardCheck());
         DMX_RETURN_IF_ERROR(binder.BindCaseInto(buffered, &attrs_, &scratch));
         DMX_RETURN_IF_ERROR(trained_->ConsumeCase(attrs_, scratch));
       }
@@ -65,6 +66,7 @@ Status MiningModel::InsertCases(RowsetReader* reader,
   DMX_ASSIGN_OR_RETURN(Rowset rows, reader->ReadAll());
   // dmx-hot-begin(insert-retrain)
   for (const Row& row : rows.rows()) {
+    DMX_RETURN_IF_ERROR(GuardCheck());
     DMX_RETURN_IF_ERROR(binder.CollectStatistics(row, &attrs_));
   }
   DMX_RETURN_IF_ERROR(binder.FinalizeStatistics(&attrs_, first_training));

@@ -204,7 +204,8 @@ class Provider::CatalogStoreClient : public store::StoreClient {
       record.kind = 'T';
       record.name = table->name();
       record.meta = EncodeSchema(*table->schema());
-      record.data = rel::ToCsvString(*table->schema(), table->rows());
+      DMX_ASSIGN_OR_RETURN(
+          record.data, rel::ToCsvStringGuarded(*table->schema(), table->rows()));
       out.push_back(std::move(record));
     }
     for (const std::string& name : provider_->models_.ListModels()) {

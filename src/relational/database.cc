@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "common/exec_guard.h"
+
 namespace dmx::rel {
 
 Result<Table*> Database::CreateTable(const std::string& name,
@@ -144,21 +146,39 @@ bool ParseDouble(const std::string& s, double* out) {
   return end == s.c_str() + s.size();
 }
 
+void WriteCsvHeader(const Schema& schema, std::string* out) {
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    if (c > 0) *out += ',';
+    WriteCsvField(schema.column(c).name, out);
+  }
+  *out += '\n';
+}
+
+void WriteCsvRow(const Row& row, std::string* out) {
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (c > 0) *out += ',';
+    if (!row[c].is_null()) WriteCsvField(row[c].ToString(), out);
+  }
+  *out += '\n';
+}
+
 }  // namespace
 
 std::string ToCsvString(const Schema& schema, const std::vector<Row>& rows) {
   std::string out;
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (c > 0) out += ',';
-    WriteCsvField(schema.column(c).name, &out);
-  }
-  out += '\n';
+  WriteCsvHeader(schema, &out);
+  for (const Row& row : rows) WriteCsvRow(row, &out);
+  return out;
+}
+
+Result<std::string> ToCsvStringGuarded(const Schema& schema,
+                                       const std::vector<Row>& rows) {
+  std::string out;
+  WriteCsvHeader(schema, &out);
+  size_t n = 0;
   for (const Row& row : rows) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out += ',';
-      if (!row[c].is_null()) WriteCsvField(row[c].ToString(), &out);
-    }
-    out += '\n';
+    if ((n++ & 255) == 0) DMX_RETURN_IF_ERROR(GuardCheck());
+    WriteCsvRow(row, &out);
   }
   return out;
 }

@@ -47,6 +47,13 @@ class Database {
 /// SaveCsv writes to disk and the durable store embeds in snapshots.
 std::string ToCsvString(const Schema& schema, const std::vector<Row>& rows);
 
+/// ToCsvString for statement paths: checkpoints the statement's execution
+/// guard every 256 rows, so serializing a large table (the snapshot of an
+/// auto-checkpoint a write triggers) still honours its deadline and
+/// cancellation.
+Result<std::string> ToCsvStringGuarded(const Schema& schema,
+                                       const std::vector<Row>& rows);
+
 /// Writes a table to CSV through `env` (Env::Default() when null); every
 /// write and the close are checked, failures return kIOError naming `path`.
 Status SaveCsv(const Table& table, const std::string& path,

@@ -712,8 +712,7 @@ Result<Rowset> Execute(Database* db, const SqlStatement& statement) {
       DMX_ASSIGN_OR_RETURN(bool matches, EvalPredicate(*stmt->where, row));
       if (!matches) kept.push_back(row);
     }
-    table->Clear();
-    DMX_RETURN_IF_ERROR(table->InsertAll(std::move(kept)));
+    DMX_RETURN_IF_ERROR(table->ReplaceAll(std::move(kept)));
     return Rowset();
   }
   return Internal() << "unhandled SQL statement kind";

@@ -1,5 +1,9 @@
 #include "relational/table.h"
 
+#include <iterator>
+
+#include "common/exec_guard.h"
+
 namespace dmx::rel {
 
 Status Table::ValidateSchema(const Schema& schema) {
@@ -35,16 +39,27 @@ Status Table::Insert(Row row) {
   return Status::OK();
 }
 
+Status Table::CoerceAll(std::vector<Row>* rows) const {
+  size_t n = 0;
+  for (Row& row : *rows) {
+    if ((n++ & 255) == 0) DMX_RETURN_IF_ERROR(GuardCheck());
+    DMX_RETURN_IF_ERROR(CoerceForInsert(&row));
+  }
+  return Status::OK();
+}
+
 Status Table::InsertAll(std::vector<Row> rows) {
   // Coerce every row before appending any (see the header contract: failed
   // statements must leave the table untouched).
-  for (Row& row : rows) {
-    DMX_RETURN_IF_ERROR(CoerceForInsert(&row));
-  }
-  rows_.reserve(rows_.size() + rows.size());
-  for (Row& row : rows) {
-    rows_.push_back(std::move(row));
-  }
+  DMX_RETURN_IF_ERROR(CoerceAll(&rows));
+  rows_.insert(rows_.end(), std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
+  return Status::OK();
+}
+
+Status Table::ReplaceAll(std::vector<Row> rows) {
+  DMX_RETURN_IF_ERROR(CoerceAll(&rows));
+  rows_ = std::move(rows);
   return Status::OK();
 }
 

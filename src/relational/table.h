@@ -41,6 +41,10 @@ class Table {
   /// effects would make crash recovery diverge from the in-memory state.
   Status InsertAll(std::vector<Row> rows);
 
+  /// Replaces the contents with `rows`, with InsertAll's atomicity: a
+  /// failure leaves the old contents in place.
+  Status ReplaceAll(std::vector<Row> rows);
+
   void Clear() { rows_.clear(); }
 
   /// Copies contents into an immutable rowset (cheap schema share).
@@ -49,6 +53,10 @@ class Table {
  private:
   /// Size-checks `row` and coerces each cell in place; mutates nothing else.
   Status CoerceForInsert(Row* row) const;
+
+  /// CoerceForInsert over every row, checkpointing the statement guard every
+  /// 256 rows; mutates nothing but `rows`.
+  Status CoerceAll(std::vector<Row>* rows) const;
 
   std::string name_;
   std::shared_ptr<const Schema> schema_;

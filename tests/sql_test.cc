@@ -7,6 +7,7 @@
 #include <fstream>
 #include <set>
 
+#include "common/exec_guard.h"
 #include "relational/database.h"
 #include "relational/sql_executor.h"
 #include "relational/sql_parser.h"
@@ -177,6 +178,32 @@ TEST_F(SqlTest, DeleteWithAndWithoutWhere) {
   EXPECT_EQ(Must("SELECT * FROM Pets").num_rows(), 2u);
   Must("DELETE FROM Pets");
   EXPECT_EQ(Must("SELECT * FROM Pets").num_rows(), 0u);
+}
+
+// A tripped guard stops a bulk table write before it mutates anything, and
+// stops snapshot serialization with the guard's status.
+TEST_F(SqlTest, GuardTripLeavesTableUntouched) {
+  auto table = db_.GetTable("Pets");
+  ASSERT_TRUE(table.ok());
+  const std::string before =
+      ToCsvString(*(*table)->schema(), (*table)->rows());
+  ExecLimits limits;
+  limits.cancel = std::make_shared<CancelToken>();
+  limits.cancel->Cancel();
+  ExecGuard guard(limits);
+  {
+    ExecGuardScope scope(&guard);
+    std::vector<Row> rows = {{Value::Long(5), Value::Text("yak")}};
+    EXPECT_TRUE((*table)->ReplaceAll(rows).IsCancelled());
+    EXPECT_TRUE((*table)->InsertAll(rows).IsCancelled());
+    EXPECT_TRUE(ToCsvStringGuarded(*(*table)->schema(), (*table)->rows())
+                    .status()
+                    .IsCancelled());
+  }
+  EXPECT_EQ(ToCsvString(*(*table)->schema(), (*table)->rows()), before);
+  auto csv = ToCsvStringGuarded(*(*table)->schema(), (*table)->rows());
+  ASSERT_TRUE(csv.ok());
+  EXPECT_EQ(*csv, before);
 }
 
 TEST_F(SqlTest, DropTable) {

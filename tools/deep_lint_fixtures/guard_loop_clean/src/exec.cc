@@ -1,6 +1,7 @@
 // Clean fixture: every row-scale loop reachable from the root has a guard
 // checkpoint in its cycle — directly, through a callee, or through a local
-// lambda. The last loop is row-scale but unreachable from any root.
+// lambda. A nested-table loop is case-scale, and the last loop is row-scale
+// but unreachable from any root.
 #include "support.h"
 
 namespace fx {
@@ -40,6 +41,15 @@ Status Serialize(const AttributeSet& attrs) {
   return Status::OK();
 }
 
+// One cell's nested table is case-scale: it holds a single case's nested
+// rows, and the caller's case loop (Deep, above) already checkpoints.
+Status BindNested(const Value& cell) {
+  for (const Row& nested : cell.table_value()->rows()) {
+    Consume(nested);
+  }
+  return Status::OK();
+}
+
 void Unreached(const Rowset& input) {
   for (const Row& row : input.rows()) {
     Consume(row);
@@ -52,6 +62,7 @@ class Conn {
     Scan(input);
     ChargeAll(input);
     Serialize({});
+    BindNested({});
     return Deep(input);
   }
 };

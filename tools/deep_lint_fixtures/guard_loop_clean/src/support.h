@@ -10,6 +10,9 @@ struct Rows {
 struct Rowset {
   const Rows& rows() const;
 };
+struct Value {
+  const Rowset* table_value() const;
+};
 void Consume(const Row& row);
 void Tick(int i);
 Status GuardCheck();

@@ -65,7 +65,7 @@ from dmx_lint import (  # noqa: E402
 )
 
 # Cache-key component: bump whenever the fact schema or extraction changes.
-FACTS_VERSION = "dmx-deep-lint-facts-v2"
+FACTS_VERSION = "dmx-deep-lint-facts-v3"
 
 # ---------------------------------------------------------------------------
 # Rule ids (stable: referenced by allow() comments, EXPECT files and docs).
@@ -157,6 +157,11 @@ ROW_SOURCE_IDS = {
     "rows", "mutable_rows", "num_rows", "nested_rows",
     "cases", "num_cases", "selection",
 }
+
+# Loop-header identifiers that mark a loop as case-scale even though it
+# iterates rows: `cell.table_value()->rows()` is one case's nested table,
+# bounded by that case, and every caller's case loop already checkpoints.
+CASE_SCALE_IDS = {"table_value"}
 
 # Range-for element types that mark a loop as row-scale regardless of the
 # range expression's name: iterating Row/DataCase elements is iterating
@@ -253,6 +258,7 @@ def make_file_facts(relpath):
         "decl_requires": {},     # "Class::method" -> [[cap, recv, excl]]
         "member_types": {},      # member/global name -> core type
         "view_members": {},      # member name -> "Class" (view-typed member)
+        "bases": {},             # class name -> [direct base class names]
     }
 
 
@@ -390,6 +396,35 @@ class InternalFrontend:
             i += 1
         return i
 
+    def _base_list(self, start, brace):
+        """Direct base class names of a class head `class X : public B {`."""
+        toks = self.toks
+        bases = []
+        last = None
+        i = start
+        while i < brace and toks[i].text != ":":
+            if toks[i].text == "<":
+                i = self._skip_angle(i)
+                continue
+            i += 1
+        i += 1
+        while i < brace:
+            t = toks[i]
+            if t.text == "<":
+                i = self._skip_angle(i)
+                continue
+            if t.text == ",":
+                if last:
+                    bases.append(last)
+                last = None
+            elif t.kind == "ident" and t.text not in (
+                    "public", "protected", "private", "virtual"):
+                last = t.text
+            i += 1
+        if last:
+            bases.append(last)
+        return bases
+
     def _scope(self, start, end, stack):
         toks = self.toks
         i = start
@@ -430,6 +465,9 @@ class InternalFrontend:
                         continue
                     j += 1
                 if j < end and toks[j].text == "{" and name:
+                    bases = self._base_list(i + 1, j)
+                    if bases:
+                        self.facts["bases"][name] = bases
                     body_end = self.cur.close(j)
                     self._scope(j + 1, body_end, stack + [name])
                     i = body_end + 1
@@ -803,6 +841,8 @@ class InternalFrontend:
                              None)
             if row_ident is None:
                 row_ident = self._range_elem(abs_kw, abs_hdr)
+            if CASE_SCALE_IDS.intersection(header_ids):
+                row_ident = None
             lo_line = toks[abs_kw].line
             hi_line = toks[abs_end].line
             span_calls = [k for k, c in enumerate(fn["calls"])
@@ -842,6 +882,11 @@ class InternalFrontend:
             chain.insert(0, toks[j - 1].text)
             j -= 2
         name = chain[-1]
+        if name == "DMX_ASSIGN_OR_RETURN":
+            parts = split_top_commas(toks, self.cur, i + 2,
+                                     self.cur.close(i + 1))
+            if parts:
+                self._declared_local(fn, *parts[0])
         if is_macro_name(name):
             return
         receiver = receiver2 = None
@@ -882,6 +927,26 @@ class InternalFrontend:
             "guard" in receiver.lower())
         fn["calls"].append(make_call(name, chain, receiver, receiver2,
                                      toks[i].line, arg0, is_guard))
+
+    def _declared_local(self, fn, start, end):
+        """Records `T x` (the declaring form of a macro argument) as a local.
+
+        `DMX_ASSIGN_OR_RETURN(MiningModel * model, ...)` declares `model`
+        inside the macro's argument list, where the statement-level local
+        scan never looks; assignments to existing lvalues (`x.member`,
+        `(*row)[i]`) are not declarations and are skipped.
+        """
+        toks = self.toks
+        if end - start < 2 or toks[end - 1].kind != "ident":
+            return
+        type_toks = toks[start:end - 1]
+        if any(t.kind != "ident" and t.text not in ("::", "*", "&", "<", ">",
+                                                      ">>", ",")
+               for t in type_toks):
+            return
+        decl_type = core_type(type_toks)
+        if decl_type and decl_type != "auto":
+            fn["locals"][toks[end - 1].text] = decl_type
 
     def _range_elem(self, kw, hdr_end):
         """Row-scale element type of a range-for header, or None.
@@ -1014,6 +1079,11 @@ class ClangVisitor:
             return
         if kind == "CXXRecordDecl":
             if decl.get("completeDefinition") and name:
+                ff = self._file_facts()
+                bases = [self._core((b.get("type") or {}).get("qualType", ""))
+                         for b in decl.get("bases", ())]
+                if ff is not None and bases:
+                    ff["bases"][name] = bases
                 self.visit_tu(decl, prefix + (name,))
             return
         if kind in ("FunctionDecl", "CXXMethodDecl", "CXXConstructorDecl",
@@ -1141,6 +1211,14 @@ class ClangVisitor:
             row_ident = next((n for n in names if n in ROW_SOURCE_IDS), None)
             if row_ident is None and kind == "CXXForRangeStmt":
                 row_ident = self._range_elem(node)
+            children = [c for c in node.get("inner", ())
+                        if isinstance(c, dict)]
+            header = []
+            for child in (children[1:] if kind == "DoStmt"
+                          else children[:-1]):
+                self._collect_names(child, header, limit=40)
+            if CASE_SCALE_IDS.intersection(header):
+                row_ident = None
             loop = [line, row_ident, False, []]
             fn["loops"].append(loop)
             for child in node.get("inner", ()):
@@ -1401,11 +1479,15 @@ class Program:
         self.by_suffix = {}                      # last component -> [fn]
         self.member_types = {}                   # name -> {types}
         self.view_members = {}                   # name -> class
+        self.derived = {}                        # class -> {subclasses}
         for ff in file_facts.values():
             self.functions.extend(ff["functions"])
             for name, ctype in ff["member_types"].items():
                 self.member_types.setdefault(name, set()).add(ctype)
             self.view_members.update(ff["view_members"])
+            for cls, bases in ff["bases"].items():
+                for base in bases:
+                    self.derived.setdefault(base, set()).add(cls)
         for fn in self.functions:
             comps = fn["qual"].split("::")
             self.by_suffix.setdefault(comps[-1], []).append(fn)
@@ -1440,6 +1522,26 @@ class Program:
                 out.append(fn)
         return out
 
+    def _subclasses(self, cls):
+        """Every class deriving from `cls`, directly or transitively."""
+        out = set()
+        work = [cls]
+        while work:
+            for sub in self.derived.get(work.pop(), ()):
+                if sub not in out:
+                    out.add(sub)
+                    work.append(sub)
+        return out
+
+    def _dispatch_match(self, cls, name):
+        """Targets of a call to `name` on a receiver of static type `cls`:
+        the class's own definition plus every override in a subclass, since
+        a virtual call through a base pointer may land in any of them."""
+        out = self._suffix_match([cls, name])
+        for sub in sorted(self._subclasses(cls)):
+            out.extend(self._suffix_match([sub, name]))
+        return out
+
     def type_of(self, fn, name):
         if name is None:
             return None
@@ -1460,15 +1562,17 @@ class Program:
         if name in fn["lambdas"]:
             out = [f for f in self.functions
                    if f["qual"] == fn["lambdas"][name]]
+        elif call.get("recv_type"):
+            out = self._dispatch_match(call["recv_type"], name) or \
+                self._suffix_match([name])
         elif len(call["chain"]) >= 2 and call["chain"][0]:
             out = self._suffix_match(call["chain"])
             if not out:
                 out = self._suffix_match(call["chain"][1:])
         if not out:
-            recv_type = call.get("recv_type") or \
-                self.type_of(fn, call.get("recv"))
+            recv_type = self.type_of(fn, call.get("recv"))
             if recv_type:
-                out = self._suffix_match([recv_type, name])
+                out = self._dispatch_match(recv_type, name)
             elif call.get("recv") is None:
                 # Unqualified free call: resolve when unambiguous, trying
                 # the enclosing class's own methods first.
@@ -1828,7 +1932,7 @@ def merge_file_facts(files, ff):
     for fn in ff["functions"]:
         if (fn["qual"], fn["line"]) not in seen:
             dst["functions"].append(fn)
-    for key in ("member_types", "view_members"):
+    for key in ("member_types", "view_members", "bases"):
         dst[key].update(ff[key])
     for qual, caps in ff["decl_requires"].items():
         dst["decl_requires"].setdefault(qual, []).extend(caps)

@@ -5,13 +5,6 @@ Checks invariants that neither the compiler nor clang-tidy can express,
 because they are *project* rules, not language rules (DESIGN.md "Static
 enforcement"):
 
-  guarded-loops       Every training/prediction entry point in
-                      src/algorithms/*.cc (Train / Predict / ConsumeCase /
-                      InsertCases) that contains a for/while loop must call a
-                      guard checkpoint (GuardCheck / GuardChargeOutputRows /
-                      GuardChargeWorkingSet) somewhere in its body — otherwise
-                      deadlines and cancellation cannot trip inside it.
-
   raw-sync-primitive  Raw std synchronization primitives (std::mutex,
                       std::shared_timed_mutex, condition_variable, lock
                       adapters) and raw file streams (fopen, std::ofstream,
@@ -100,7 +93,6 @@ from pathlib import Path
 # Rule ids (stable: referenced by allow() comments, EXPECT files and docs).
 # ---------------------------------------------------------------------------
 
-GUARDED_LOOPS = "guarded-loops"
 RAW_SYNC_PRIMITIVE = "raw-sync-primitive"
 RAW_SLEEP = "raw-sleep"
 STATUS_CONTEXT = "status-context"
@@ -113,10 +105,9 @@ HOT_TOSTRING = "hot-tostring"
 HOT_MISSING_GUARD = "hot-missing-guard"
 HOT_MARKER = "hot-marker"
 
-ALL_RULES = (GUARDED_LOOPS, RAW_SYNC_PRIMITIVE, RAW_SLEEP, STATUS_CONTEXT,
-             BAD_SUPPRESSION, UNUSED_SUPPRESSION, HOT_LOOP_ALLOC,
-             HOT_VALUE_COPY, HOT_STRING_KEY, HOT_TOSTRING, HOT_MISSING_GUARD,
-             HOT_MARKER)
+ALL_RULES = (RAW_SYNC_PRIMITIVE, RAW_SLEEP, STATUS_CONTEXT, BAD_SUPPRESSION,
+             UNUSED_SUPPRESSION, HOT_LOOP_ALLOC, HOT_VALUE_COPY,
+             HOT_STRING_KEY, HOT_TOSTRING, HOT_MISSING_GUARD, HOT_MARKER)
 
 # Files the status-context rule applies to: the cross-layer boundaries where
 # a Status hops subsystems (core <-> store, core <-> relational, UI <-> core,
@@ -140,15 +131,6 @@ RAW_PRIMITIVE_SEAMS = (
     "src/common/lockdep.cc",
     "src/common/det_sched.cc",
 )
-
-# Training / prediction entry points the guarded-loops rule inspects.
-ENTRY_POINT_RE = re.compile(
-    r"^[A-Za-z_][\w:<>,&*\s]*\b(?:\w+::)(Train|Predict|ConsumeCase|"
-    r"InsertCases)\s*\(", re.MULTILINE)
-
-LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
-GUARD_CALL_RE = re.compile(
-    r"\bGuard(?:Check|ChargeOutputRows|ChargeWorkingSet)\s*\(")
 
 RAW_PRIMITIVE_RE = re.compile(
     r"std::(?:recursive_|timed_|shared_|shared_timed_)?mutex\b"
@@ -230,19 +212,6 @@ def scrub(text):
                 out.append(c if c == "\n" else " ")
                 i += 1
     return "".join(out)
-
-
-def find_matching_brace(text, open_index):
-    """Index just past the `}` matching the `{` at open_index, or len(text)."""
-    depth = 0
-    for i in range(open_index, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -665,26 +634,6 @@ def check_hot_rules(relpath, lines, scrubbed):
 # Rules. Each takes (relpath, raw_lines, scrubbed_text) and yields Violations.
 # ---------------------------------------------------------------------------
 
-def check_guarded_loops(relpath, lines, scrubbed):
-    if not re.fullmatch(r"src/algorithms/[^/]+\.cc", relpath):
-        return
-    for match in ENTRY_POINT_RE.finditer(scrubbed):
-        if match.start() != 0 and scrubbed[match.start() - 1] != "\n":
-            continue  # not at the start of a line: not a definition
-        name = match.group(1)
-        def_line = scrubbed.count("\n", 0, match.start()) + 1
-        open_brace = scrubbed.find("{", match.end())
-        semi = scrubbed.find(";", match.end())
-        if open_brace < 0 or (0 <= semi < open_brace):
-            continue  # declaration, not a definition
-        body = scrubbed[open_brace:find_matching_brace(scrubbed, open_brace)]
-        if LOOP_RE.search(body) and not GUARD_CALL_RE.search(body):
-            yield Violation(
-                GUARDED_LOOPS, relpath, def_line,
-                f"{name}() contains a loop but never calls GuardCheck/"
-                "GuardCharge*; deadlines and cancellation cannot trip here")
-
-
 def check_raw_sync_primitive(relpath, lines, scrubbed):
     if relpath in RAW_PRIMITIVE_SEAMS:
         return
@@ -727,8 +676,8 @@ def check_status_context(relpath, lines, scrubbed):
                 "so the failure is diagnosable downstream")
 
 
-RULE_CHECKS = (check_guarded_loops, check_raw_sync_primitive,
-               check_raw_sleep, check_status_context, check_hot_rules)
+RULE_CHECKS = (check_raw_sync_primitive, check_raw_sleep,
+               check_status_context, check_hot_rules)
 
 
 # ---------------------------------------------------------------------------

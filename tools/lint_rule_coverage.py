@@ -22,8 +22,9 @@ no coverage).
 
 With --check-gates it additionally cross-checks the static-analysis gate
 list: the `== Gate N:` markers in tools/run_static_analysis.sh must be
-numbered 1..N with no gaps, and the gate table in README.md must have
-exactly one row per gate.
+numbered 1..N with no gaps, the gate table in README.md must have exactly
+one row per gate, and each row must name exactly one CI job that exists as
+a job key in .github/workflows/ci.yml (every gate runs in exactly one job).
 
 Exit status 0 when everything holds; 1 with a per-problem report otherwise.
 Registered in ctest as lint_rule_coverage.
@@ -139,14 +140,42 @@ def check_gates(problems):
                         "not numbered 1..N without gaps")
 
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| *(\d+) *\|", readme, re.MULTILINE)
-    table = [int(n) for n in rows]
+    rows = re.findall(r"^\| *(\d+) *\|.*\|(.*)\| *$", readme, re.MULTILINE)
+    table = [int(n) for n, _ in rows]
     if table != numbers:
         problems.append(
             f"README.md gate table rows {table} do not match the "
             f"`== Gate N:` markers {numbers} in run_static_analysis.sh — "
             "keep the two lists in sync")
+
+    jobs = ci_job_keys()
+    for n, job_cell in rows:
+        named = re.findall(r"`([^`]+)`", job_cell)
+        if len(named) != 1:
+            problems.append(
+                f"README.md gate {n} names CI jobs {named}; each gate must "
+                "run in exactly one CI job")
+        for job in named:
+            if job not in jobs:
+                problems.append(
+                    f"README.md gate {n} names CI job '{job}', which is not "
+                    "a job in .github/workflows/ci.yml")
     return len(numbers)
+
+
+def ci_job_keys():
+    """The job ids under `jobs:` in the CI workflow (two-space indented)."""
+    workflow = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+    keys = set()
+    in_jobs = False
+    for line in workflow.read_text(encoding="utf-8").splitlines():
+        if re.match(r"^\S", line):
+            in_jobs = line.rstrip() == "jobs:"
+            continue
+        match = re.match(r"^  ([A-Za-z0-9_-]+):\s*$", line)
+        if in_jobs and match:
+            keys.add(match.group(1))
+    return keys
 
 
 def main(argv):

@@ -3,10 +3,10 @@
 #
 # Eight gates, all expected to pass clean (keep this list in sync with the
 # gate table in README.md — lint_rule_coverage.py counts both):
-#   1. The project-invariant linter (tools/dmx_lint.py): guard checkpoints in
-#      algorithm loops, no raw sync/file primitives outside the seams,
-#      WithContext on boundary Status returns — plus its own self-test
-#      against the seeded fixtures.
+#   1. The project-invariant linter (tools/dmx_lint.py): no raw sync/file
+#      primitives outside the seams, WithContext on boundary Status returns,
+#      the hot-path rules — plus its own self-test against the seeded
+#      fixtures.
 #   2. A full -Werror build (-Wall -Wextra -Wpedantic, DMX_WERROR=ON, which
 #      also promotes ignored [[nodiscard]] Status/Result to errors).
 #   3. Clang Thread Safety Analysis: a clang build with
@@ -32,13 +32,15 @@
 #   8. Whole-program deep lint (DESIGN.md §15, tools/dmx_deep_lint.py): a
 #      project-wide call-graph analysis — blocking calls transitively
 #      reachable under the catalog lock, row-scale loops reachable from
-#      Execute with no guard checkpoint in their cycle, views escaping
+#      Execute with no guard checkpoint in their cycle (the one
+#      guard-reachability rule), views escaping
 #      their owning frame. Consumes gate 2's compile_commands.json for its
 #      clang AST frontend when clang is present; otherwise its internal
 #      token-stream frontend covers the tree.
 #
-# The clang gates are skipped (with a notice) in minimal containers; CI
-# installs clang and runs everything.
+# This script runs every gate locally in one go. The clang gates are skipped
+# (with a notice) in minimal containers. CI does not call it: each gate runs
+# in exactly one CI job, named in the README gate table.
 #
 # Usage: tools/run_static_analysis.sh [build-dir]   (default: build-lint)
 

@@ -39,11 +39,17 @@ struct DefinitionCase {
   const char* span_token;
 };
 
+// A case's CTest name ends in gtest's byte dump of the case, which starts
+// with the `test_name` pointer; ASLR randomises all but its low 12 bits on
+// each run. Case names are at least 17 characters long so that the first 100
+// characters of every CTest name stop before the randomised bytes. New rows go
+// at the end: a string placed ahead of a row moves that row's pointer, and so
+// its CTest name.
 const DefinitionCase kDefinitionCases[] = {
-    {"NoKey",
+    {"NoCaseLevelKeyColumnDeclared",
      "CREATE MINING MODEL m (a TEXT DISCRETE PREDICT) USING Naive_Bayes",
      rules::kKeyCount, DiagSeverity::kError, "m"},
-    {"TwoKeys",
+    {"ExtraCaseLevelKeyColumn",
      "CREATE MINING MODEL m (k LONG KEY, k2 LONG KEY, a TEXT DISCRETE "
      "PREDICT) USING Naive_Bayes",
      rules::kKeyCount, DiagSeverity::kError, "k2"},
@@ -51,10 +57,6 @@ const DefinitionCase kDefinitionCases[] = {
      "CREATE MINING MODEL m (k LONG KEY, t TABLE (v DOUBLE CONTINUOUS) "
      "PREDICT) USING Association_Rules",
      rules::kTableNestedKey, DiagSeverity::kError, "t TABLE"},
-    {"DuplicateColumn",
-     "CREATE MINING MODEL m (k LONG KEY, a TEXT DISCRETE, a TEXT DISCRETE "
-     "PREDICT) USING Naive_Bayes",
-     rules::kDuplicateColumn, DiagSeverity::kError, "a TEXT DISCRETE PREDICT"},
     {"KeyCannotBePredict",
      "CREATE MINING MODEL m (k LONG KEY PREDICT, a TEXT DISCRETE) "
      "USING Naive_Bayes",
@@ -80,10 +82,10 @@ const DefinitionCase kDefinitionCases[] = {
      "CREATE MINING MODEL m (k LONG KEY, c TEXT CONTINUOUS, "
      "a TEXT DISCRETE PREDICT) USING Naive_Bayes",
      rules::kNumericAttribute, DiagSeverity::kError, "c TEXT"},
-    {"TextQualifier",
+    {"TextTypedQualifier",
      "CREATE MINING MODEL m (k LONG KEY, a TEXT DISCRETE PREDICT, "
      "q TEXT PROBABILITY OF a) USING Naive_Bayes",
-     rules::kNumericAttribute, DiagSeverity::kError, "q TEXT"},
+     rules::kNumericAttribute, DiagSeverity::kError, "q"},
     {"TwoSequenceTimeColumns",
      "CREATE MINING MODEL m (k LONG KEY, t TABLE (ik TEXT KEY, "
      "s1 DOUBLE SEQUENCE_TIME, s2 DOUBLE SEQUENCE_TIME) PREDICT) "
@@ -113,6 +115,10 @@ const DefinitionCase kDefinitionCases[] = {
      "p1 DOUBLE PROBABILITY OF a, p2 DOUBLE PROBABILITY OF a) "
      "USING Naive_Bayes",
      rules::kDuplicateQualifier, DiagSeverity::kError, "p2 DOUBLE"},
+    {"DuplicateColumnName",
+     "CREATE MINING MODEL m (k LONG KEY, a TEXT DISCRETE, a TEXT DISCRETE "
+     "PREDICT) USING Naive_Bayes",
+     rules::kDuplicateColumn, DiagSeverity::kError, "a TEXT DISCRETE PREDICT"},
 };
 
 class DefinitionRules : public ::testing::TestWithParam<DefinitionCase> {};

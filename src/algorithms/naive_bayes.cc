@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/exec_guard.h"
 
@@ -17,12 +18,6 @@ constexpr size_t kMaxFullBernoulli = 512;
 
 constexpr double kMinVariance = 1e-6;
 
-double LogGaussian(double x, double mean, double variance) {
-  variance = std::max(variance, kMinVariance);
-  double d = x - mean;
-  return -0.5 * (std::log(2 * M_PI * variance) + d * d / variance);
-}
-
 // Grows a 2-D count table so [cls][state] is addressable.
 void EnsureSize(std::vector<std::vector<double>>* table, size_t classes,
                 size_t states) {
@@ -33,6 +28,64 @@ void EnsureSize(std::vector<std::vector<double>>* table, size_t classes,
 }
 
 }  // namespace
+
+// Log-likelihood terms derived from the counts, laid out for scoring. Each
+// entry is computed with the same expression the per-case formula used, so
+// only the order in which a case's Bernoulli terms are summed differs.
+struct NaiveBayesModel::ScoringTables {
+  struct Gaussian {
+    double mean = 0;
+    double variance = 1;  ///< Clamped to kMinVariance.
+    double log_norm = 0;  ///< log(2 pi variance).
+  };
+  /// One scored input attribute, continuous or categorical.
+  struct Input {
+    int attribute = -1;
+    bool continuous = false;
+    std::vector<Gaussian> gaussians;  ///< [class]
+    /// States per class row; slot `width` of each row holds the term of a
+    /// state never counted for that class.
+    size_t width = 0;
+    /// [class * (width + 1) + state]:
+    /// log((count + alpha) / (class total + alpha * cardinality)).
+    std::vector<double> log_lik;
+  };
+  /// One nested input group's per-item Bernoulli terms.
+  struct Group {
+    int group = -1;
+    size_t num_items = 0;
+    /// [class * num_items + item]: log p - (absent term of the item).
+    std::vector<double> present_delta;
+    /// [class]: sum of every item's absent term, log(1 - p), or 0 above
+    /// kMaxFullBernoulli items.
+    std::vector<double> absent_sum;
+  };
+  struct Target {
+    size_t num_classes = 0;
+    std::vector<double> log_prior;  ///< [class]
+    std::vector<Input> inputs;      ///< In attribute order.
+    std::vector<Group> groups;
+  };
+
+  std::vector<Target> targets;  ///< Aligned with targets_.
+  /// The AttributeSet counts the tables were built for.
+  std::vector<int> cardinalities;
+  std::vector<size_t> group_items;
+
+  bool BuiltFor(const AttributeSet& attrs) const {
+    if (attrs.attributes.size() != cardinalities.size() ||
+        attrs.groups.size() != group_items.size()) {
+      return false;
+    }
+    for (size_t a = 0; a < cardinalities.size(); ++a) {
+      if (attrs.attributes[a].cardinality() != cardinalities[a]) return false;
+    }
+    for (size_t g = 0; g < group_items.size(); ++g) {
+      if (attrs.groups[g].keys.size() != group_items[g]) return false;
+    }
+    return true;
+  }
+};
 
 void GaussianMoments::Add(double value, double w) {
   weight += w;
@@ -55,6 +108,8 @@ NaiveBayesModel::NaiveBayesModel(std::vector<int> target_attributes,
   }
 }
 
+NaiveBayesModel::~NaiveBayesModel() = default;
+
 const std::string& NaiveBayesModel::service_name() const {
   return kServiceName;
 }
@@ -64,6 +119,9 @@ const std::string& NaiveBayesModel::service_name() const {
 // each call (core/mining_model.cc).
 Status NaiveBayesModel::ConsumeCase(const AttributeSet& attrs,
                                     const DataCase& c) {
+  if (current_tables_.load(std::memory_order_relaxed) != nullptr) {
+    InvalidateTables();
+  }
   case_count_ += c.weight;
   for (TargetStats& stats : targets_) {
     double label = c.values[stats.target];
@@ -111,70 +169,97 @@ Status NaiveBayesModel::ConsumeCase(const AttributeSet& attrs,
   return Status::OK();
 }
 
-Result<CasePrediction> NaiveBayesModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
-  // dmx-hot-begin(nb-predict)
-  DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
-  // Per-class scratch, reused across targets; assign() resizes without
-  // shrinking.
-  std::vector<double> log_post;
-  std::vector<char> present;
+void NaiveBayesModel::InvalidateTables() {
+  MutexLock lock(&tables_mu_);
+  current_tables_.store(nullptr, std::memory_order_relaxed);
+  built_tables_.clear();
+}
+
+const NaiveBayesModel::ScoringTables& NaiveBayesModel::Tables(
+    const AttributeSet& attrs) const {
+  const ScoringTables* tables = current_tables_.load(std::memory_order_acquire);
+  if (tables != nullptr && tables->BuiltFor(attrs)) return *tables;
+  MutexLock lock(&tables_mu_);
+  tables = current_tables_.load(std::memory_order_relaxed);
+  if (tables != nullptr && tables->BuiltFor(attrs)) return *tables;
+  built_tables_.push_back(BuildTables(attrs));
+  tables = built_tables_.back().get();
+  current_tables_.store(tables, std::memory_order_release);
+  return *tables;
+}
+
+// Loops here run once per training state over classes, states and items of
+// the model definition, not per case.
+std::unique_ptr<const NaiveBayesModel::ScoringTables>
+NaiveBayesModel::BuildTables(const AttributeSet& attrs) const {
+  auto tables = std::make_unique<ScoringTables>();
+  for (const Attribute& attr : attrs.attributes) {
+    tables->cardinalities.push_back(attr.cardinality());
+  }
+  for (const NestedGroup& group : attrs.groups) {
+    tables->group_items.push_back(group.keys.size());
+  }
   for (const TargetStats& stats : targets_) {
-    const Attribute& target = attrs.attributes[stats.target];
-    size_t num_classes =
-        std::max<size_t>(stats.class_counts.size(),
-                         static_cast<size_t>(target.cardinality()));
-    AttributePrediction prediction;
-    if (num_classes == 0) {
-      out.targets.emplace(target.name, std::move(prediction));
-      continue;
-    }
+    ScoringTables::Target& scoring = tables->targets.emplace_back();
+    const size_t num_classes = std::max<size_t>(
+        stats.class_counts.size(),
+        static_cast<size_t>(attrs.attributes[stats.target].cardinality()));
+    scoring.num_classes = num_classes;
+    if (num_classes == 0) continue;
+    auto class_count = [&](size_t cls) {
+      return cls < stats.class_counts.size() ? stats.class_counts[cls] : 0.0;
+    };
+
     double total = 0;
     for (double n : stats.class_counts) total += n;
-
-    log_post.assign(num_classes, 0.0);
     for (size_t cls = 0; cls < num_classes; ++cls) {
-      double prior = cls < stats.class_counts.size() ? stats.class_counts[cls]
-                                                     : 0.0;
-      log_post[cls] =
-          std::log((prior + alpha_) / (total + alpha_ * num_classes));
+      scoring.log_prior.push_back(std::log(
+          (class_count(cls) + alpha_) / (total + alpha_ * num_classes)));
     }
 
     for (size_t a = 0; a < attrs.attributes.size(); ++a) {
       const Attribute& attr = attrs.attributes[a];
       if (!attr.is_input || static_cast<int>(a) == stats.target) continue;
-      double v = input.values[a];
-      if (IsMissing(v)) continue;
+      ScoringTables::Input input;
+      input.attribute = static_cast<int>(a);
+      input.continuous = attr.is_continuous;
       if (attr.is_continuous) {
-        auto it = stats.cont_stats.find(static_cast<int>(a));
+        auto it = stats.cont_stats.find(input.attribute);
         if (it == stats.cont_stats.end()) continue;
         for (size_t cls = 0; cls < num_classes; ++cls) {
+          ScoringTables::Gaussian g;
           if (cls < it->second.size() && it->second[cls].weight > 0) {
-            log_post[cls] +=
-                LogGaussian(v, it->second[cls].mean, it->second[cls].variance());
+            g.mean = it->second[cls].mean;
+            g.variance = it->second[cls].variance();
           } else {
-            log_post[cls] += LogGaussian(v, 0, 1e6);  // vague fallback
+            g.variance = 1e6;  // vague fallback
           }
+          g.variance = std::max(g.variance, kMinVariance);
+          g.log_norm = std::log(2 * M_PI * g.variance);
+          input.gaussians.push_back(g);
         }
       } else {
-        auto it = stats.cat_counts.find(static_cast<int>(a));
+        auto it = stats.cat_counts.find(input.attribute);
         if (it == stats.cat_counts.end()) continue;
-        int state = static_cast<int>(v);
         double card = std::max(1, attr.cardinality());
+        for (const auto& row : it->second) {
+          input.width = std::max(input.width, row.size());
+        }
+        input.log_lik.reserve(num_classes * (input.width + 1));
         for (size_t cls = 0; cls < num_classes; ++cls) {
-          double count = 0;
+          static const std::vector<double> kNoCounts;
+          const auto& row =
+              cls < it->second.size() ? it->second[cls] : kNoCounts;
           double class_total = 0;
-          if (cls < it->second.size()) {
-            const auto& row = it->second[cls];
-            if (static_cast<size_t>(state) < row.size()) count = row[state];
-            for (double n : row) class_total += n;
+          for (double n : row) class_total += n;
+          for (size_t state = 0; state <= input.width; ++state) {
+            double count = state < row.size() ? row[state] : 0;
+            input.log_lik.push_back(
+                std::log((count + alpha_) / (class_total + alpha_ * card)));
           }
-          log_post[cls] +=
-              std::log((count + alpha_) / (class_total + alpha_ * card));
         }
       }
+      scoring.inputs.push_back(std::move(input));
     }
 
     for (size_t g = 0; g < attrs.groups.size(); ++g) {
@@ -182,29 +267,90 @@ Result<CasePrediction> NaiveBayesModel::Predict(
       if (!group.is_input) continue;
       auto it = stats.group_counts.find(static_cast<int>(g));
       if (it == stats.group_counts.end()) continue;
-      present.assign(group.keys.size(), 0);
-      for (const CaseItem& item : input.groups[g]) {
-        if (item.key >= 0 && static_cast<size_t>(item.key) < present.size()) {
-          present[item.key] = 1;
-        }
-      }
-      bool full = group.keys.size() <= kMaxFullBernoulli;
+      ScoringTables::Group& terms = scoring.groups.emplace_back();
+      terms.group = static_cast<int>(g);
+      terms.num_items = group.keys.size();
+      const bool full = group.keys.size() <= kMaxFullBernoulli;
+      terms.present_delta.reserve(num_classes * terms.num_items);
       for (size_t cls = 0; cls < num_classes; ++cls) {
-        double class_n =
-            cls < stats.class_counts.size() ? stats.class_counts[cls] : 0.0;
-        for (size_t item = 0; item < group.keys.size(); ++item) {
+        double absent_sum = 0;
+        for (size_t item = 0; item < terms.num_items; ++item) {
           double count = 0;
-          if (cls < it->second.size() &&
-              item < it->second[cls].size()) {
+          if (cls < it->second.size() && item < it->second[cls].size()) {
             count = it->second[cls][item];
           }
-          double p = (count + alpha_) / (class_n + 2 * alpha_);
-          if (present[item]) {
-            log_post[cls] += std::log(p);
-          } else if (full) {
-            log_post[cls] += std::log1p(-std::min(p, 1 - 1e-12));
-          }
+          double p = (count + alpha_) / (class_count(cls) + 2 * alpha_);
+          double absent = full ? std::log1p(-std::min(p, 1 - 1e-12)) : 0.0;
+          terms.present_delta.push_back(std::log(p) - absent);
+          absent_sum += absent;
         }
+        terms.absent_sum.push_back(absent_sum);
+      }
+    }
+  }
+  return tables;
+}
+
+Result<CasePrediction> NaiveBayesModel::Predict(
+    const AttributeSet& attrs, const DataCase& input,
+    const PredictOptions& options) const {
+  // dmx-hot-begin(nb-predict)
+  DMX_RETURN_IF_ERROR(GuardCheck());
+  const ScoringTables& tables = Tables(attrs);
+  CasePrediction out;
+  // Per-class and per-group scratch, reused across targets; assignment and
+  // clear() keep the capacity.
+  std::vector<double> log_post;
+  std::vector<int> items;
+  for (size_t t = 0; t < targets_.size(); ++t) {
+    const TargetStats& stats = targets_[t];
+    const ScoringTables::Target& scoring = tables.targets[t];
+    const Attribute& target = attrs.attributes[stats.target];
+    const size_t num_classes = scoring.num_classes;
+    AttributePrediction prediction;
+    if (num_classes == 0) {
+      out.targets.emplace(target.name, std::move(prediction));
+      continue;
+    }
+
+    log_post = scoring.log_prior;
+    for (const ScoringTables::Input& term : scoring.inputs) {
+      double v = input.values[term.attribute];
+      if (IsMissing(v)) continue;
+      if (term.continuous) {
+        for (size_t cls = 0; cls < num_classes; ++cls) {
+          const ScoringTables::Gaussian& g = term.gaussians[cls];
+          double d = v - g.mean;
+          log_post[cls] += -0.5 * (g.log_norm + d * d / g.variance);
+        }
+      } else {
+        int state = static_cast<int>(v);
+        size_t column = state >= 0 && static_cast<size_t>(state) < term.width
+                            ? static_cast<size_t>(state)
+                            : term.width;
+        for (size_t cls = 0; cls < num_classes; ++cls) {
+          log_post[cls] += term.log_lik[cls * (term.width + 1) + column];
+        }
+      }
+    }
+
+    for (const ScoringTables::Group& group : scoring.groups) {
+      // Each present item counts once, however often the case lists it.
+      items.clear();
+      items.reserve(input.groups[group.group].size());
+      for (const CaseItem& item : input.groups[group.group]) {
+        if (item.key >= 0 && static_cast<size_t>(item.key) < group.num_items) {
+          items.push_back(item.key);
+        }
+      }
+      std::sort(items.begin(), items.end());
+      items.erase(std::unique(items.begin(), items.end()), items.end());
+      for (size_t cls = 0; cls < num_classes; ++cls) {
+        const double* delta =
+            group.present_delta.data() + cls * group.num_items;
+        double lp = group.absent_sum[cls];
+        for (int item : items) lp += delta[item];
+        log_post[cls] += lp;
       }
     }
 

@@ -14,11 +14,13 @@
 #ifndef DMX_ALGORITHMS_NAIVE_BAYES_H_
 #define DMX_ALGORITHMS_NAIVE_BAYES_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "model/mining_service.h"
 
 namespace dmx {
@@ -34,6 +36,13 @@ struct GaussianMoments {
 };
 
 /// \brief Trained Naive-Bayes state: per-target conditional count tables.
+///
+/// Predict scores from log-likelihood tables derived from the counts once
+/// per training state (ScoringTables), so a case costs O(classes x present
+/// items) instead of a log() per class, state and item. The tables are built
+/// lazily by the first Predict and shared immutably by concurrent readers;
+/// ConsumeCase and mutable_targets() drop them, and a Predict whose
+/// AttributeSet has different class, state or item counts rebuilds them.
 class NaiveBayesModel : public TrainedModel {
  public:
   struct TargetStats {
@@ -48,6 +57,7 @@ class NaiveBayesModel : public TrainedModel {
   };
 
   NaiveBayesModel(std::vector<int> target_attributes, double alpha);
+  ~NaiveBayesModel() override;
 
   const std::string& service_name() const override;
   double case_count() const override { return case_count_; }
@@ -62,14 +72,35 @@ class NaiveBayesModel : public TrainedModel {
 
   // Accessors for PMML serialization.
   const std::vector<TargetStats>& targets() const { return targets_; }
-  std::vector<TargetStats>& mutable_targets() { return targets_; }
+  /// Mutable counts (PMML load); drops the scoring tables.
+  std::vector<TargetStats>& mutable_targets() {
+    InvalidateTables();
+    return targets_;
+  }
   double alpha() const { return alpha_; }
   void set_case_count(double n) { case_count_ = n; }
 
  private:
+  struct ScoringTables;
+
+  /// The scoring tables for `attrs`, built on first use.
+  const ScoringTables& Tables(const AttributeSet& attrs) const;
+  std::unique_ptr<const ScoringTables> BuildTables(
+      const AttributeSet& attrs) const;
+  void InvalidateTables();
+
   std::vector<TargetStats> targets_;
   double alpha_;  ///< Laplace smoothing pseudo-count.
   double case_count_ = 0;
+
+  /// Every table built since the counts last changed: a reader may still
+  /// score from one that a rebuild has replaced, so none is freed before the
+  /// counts change, which happens only under the exclusive catalog lock.
+  mutable Mutex tables_mu_{"nb.tables_mu"};
+  mutable std::vector<std::unique_ptr<const ScoringTables>> built_tables_
+      DMX_GUARDED_BY(tables_mu_);
+  /// The newest of built_tables_, or null; read without the lock.
+  mutable std::atomic<const ScoringTables*> current_tables_{nullptr};
 };
 
 /// \brief The plug-in wrapper registering Naive Bayes as a mining service.

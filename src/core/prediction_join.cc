@@ -10,6 +10,38 @@ namespace dmx {
 
 namespace {
 
+// A PREDICTION JOIN WHERE comparison, bound once per statement.
+enum class FilterOp { kEq, kNe, kLt, kLe, kGt, kGe };
+
+Result<FilterOp> BindFilterOp(const std::string& op) {
+  if (op == "=") return FilterOp::kEq;
+  if (op == "<>") return FilterOp::kNe;
+  if (op == "<") return FilterOp::kLt;
+  if (op == "<=") return FilterOp::kLe;
+  if (op == ">") return FilterOp::kGt;
+  if (op == ">=") return FilterOp::kGe;
+  return InvalidArgument() << "unknown comparison operator '" << op
+                           << "' in PREDICTION JOIN WHERE";
+}
+
+bool FilterPasses(FilterOp op, const Value& lhs, const Value& rhs) {
+  switch (op) {
+    case FilterOp::kEq:
+      return lhs.Equals(rhs);
+    case FilterOp::kNe:
+      return !lhs.Equals(rhs);
+    case FilterOp::kLt:
+      return lhs.Compare(rhs) < 0;
+    case FilterOp::kLe:
+      return lhs.Compare(rhs) <= 0;
+    case FilterOp::kGt:
+      return lhs.Compare(rhs) > 0;
+    case FilterOp::kGe:
+      return lhs.Compare(rhs) >= 0;
+  }
+  return false;
+}
+
 // One flattening step: unnests the single TABLE column at `column`. Fails
 // (rather than silently dropping the row) when a nested table's arity does
 // not match the schema the outer column declares.
@@ -30,15 +62,16 @@ Result<Rowset> FlattenOneColumn(const Rowset& input, size_t column) {
   }
   Rowset out(Schema::Make(std::move(columns)));
   const size_t nested_width = table_col.nested->num_columns();
+  // Stands in for an empty or NULL nested table.
+  const std::vector<Row> null_padding(1, Row(nested_width, Value::Null()));
   for (const Row& row : input.rows()) {
     DMX_RETURN_IF_ERROR(GuardCheck());
-    std::vector<Row> nested_rows;
-    if (row[column].is_table() && row[column].table_value() != nullptr &&
-        row[column].table_value()->num_rows() > 0) {
-      nested_rows = row[column].table_value()->rows();
-    } else {
-      nested_rows.push_back(Row(nested_width, Value::Null()));
-    }
+    const Value& cell = row[column];
+    const std::vector<Row>& nested_rows =
+        cell.is_table() && cell.table_value() != nullptr &&
+                cell.table_value()->num_rows() > 0
+            ? cell.table_value()->rows()
+            : null_padding;
     for (const Row& nested : nested_rows) {
       DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(1));
       Row flat;
@@ -50,10 +83,12 @@ Result<Rowset> FlattenOneColumn(const Rowset& input, size_t column) {
           flat.insert(flat.end(), nested.begin(), nested.end());
         }
       }
-      DMX_RETURN_IF_ERROR(
-          out.Append(std::move(flat))
-              .WithContext("flattening nested table column '" +
-                           table_col.name + "'"));
+      // The context is built only on failure: this runs once per output row.
+      Status appended = out.Append(std::move(flat));
+      if (!appended.ok()) {
+        return appended.WithContext("flattening nested table column '" +
+                                    table_col.name + "'");
+      }
     }
   }
   return out;
@@ -62,19 +97,26 @@ Result<Rowset> FlattenOneColumn(const Rowset& input, size_t column) {
 }  // namespace
 
 Result<Rowset> FlattenRowset(const Rowset& input) {
-  Rowset current = input;
+  // The first pass reads `input` itself; each later pass reads the one
+  // before it. Only an input without TABLE columns is copied whole.
+  std::optional<Rowset> current;
   while (true) {
+    const Rowset& in = current.has_value() ? *current : input;
     int table_column = -1;
-    for (size_t c = 0; c < current.schema()->num_columns(); ++c) {
-      if (current.schema()->column(c).type == DataType::kTable &&
-          current.schema()->column(c).nested != nullptr) {
+    for (size_t c = 0; c < in.schema()->num_columns(); ++c) {
+      if (in.schema()->column(c).type == DataType::kTable &&
+          in.schema()->column(c).nested != nullptr) {
         table_column = static_cast<int>(c);
         break;
       }
     }
-    if (table_column < 0) return current;
+    if (table_column < 0) {
+      if (current.has_value()) return std::move(*current);
+      return input;
+    }
     DMX_ASSIGN_OR_RETURN(
-        current, FlattenOneColumn(current, static_cast<size_t>(table_column)));
+        Rowset next, FlattenOneColumn(in, static_cast<size_t>(table_column)));
+    current = std::move(next);
   }
 }
 
@@ -126,9 +168,13 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
   for (const DmxSelectItem& item : stmt.items) {
     bindings.Prepare(item.expr, *model, *source.schema(), stmt.source_alias);
   }
+  std::vector<FilterOp> filter_ops;
+  filter_ops.reserve(stmt.where.size());
   for (const DmxFilter& filter : stmt.where) {
     bindings.Prepare(filter.lhs, *model, *source.schema(), stmt.source_alias);
     bindings.Prepare(filter.rhs, *model, *source.schema(), stmt.source_alias);
+    DMX_ASSIGN_OR_RETURN(FilterOp op, BindFilterOp(filter.op));
+    filter_ops.push_back(op);
   }
   PredictionRowContext ctx;
   ctx.model = model;
@@ -151,24 +197,11 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
     ctx.source_row = &source_row;
     // WHERE: every conjunct must hold (NULL comparisons are false).
     bool keep = true;
-    for (const DmxFilter& filter : stmt.where) {
-      DMX_ASSIGN_OR_RETURN(Value lhs, EvaluateDmxExpr(filter.lhs, ctx));
-      DMX_ASSIGN_OR_RETURN(Value rhs, EvaluateDmxExpr(filter.rhs, ctx));
-      if (lhs.is_null() || rhs.is_null()) {
-        keep = false;
-        break;
-      }
-      int cmp = lhs.Compare(rhs);
-      bool pass = filter.op == "=" ? lhs.Equals(rhs)
-                  : filter.op == "<>" ? !lhs.Equals(rhs)
-                  : filter.op == "<" ? cmp < 0
-                  : filter.op == "<=" ? cmp <= 0
-                  : filter.op == ">" ? cmp > 0
-                                     : cmp >= 0;
-      if (!pass) {
-        keep = false;
-        break;
-      }
+    for (size_t f = 0; f < stmt.where.size() && keep; ++f) {
+      DMX_ASSIGN_OR_RETURN(Value lhs, EvaluateDmxExpr(stmt.where[f].lhs, ctx));
+      DMX_ASSIGN_OR_RETURN(Value rhs, EvaluateDmxExpr(stmt.where[f].rhs, ctx));
+      keep = !lhs.is_null() && !rhs.is_null() &&
+             FilterPasses(filter_ops[f], lhs, rhs);
     }
     if (!keep) continue;
     // Each output row is moved into the result, so its buffer cannot be

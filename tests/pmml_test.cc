@@ -242,6 +242,70 @@ TEST(PmmlTest, FileRoundTripAndRefreshAfterLoad) {
   std::remove(path.c_str());
 }
 
+// Naive Bayes scores from tables derived from its counts. A reloaded model
+// builds them afresh from the restored counts; its scores, every class of
+// every case, must equal the original's bit for bit, before and after both
+// are refreshed with more cases.
+TEST(PmmlTest, NaiveBayesScoresBitIdenticalAfterReload) {
+  constexpr const char* kHistogram = R"(
+    SELECT FLATTENED t.[Customer ID], PredictHistogram([Age]) AS H
+    FROM [P]
+    NATURAL PREDICTION JOIN
+      (SHAPE {SELECT [Customer ID], [Gender] FROM Customers
+              ORDER BY [Customer ID]}
+       APPEND ({SELECT [CustID], [Product Name], [Product Type] FROM Sales
+                ORDER BY [CustID]}
+               RELATE [Customer ID] TO [CustID]) AS [Product Purchases])
+      AS t)";
+  datagen::WarehouseConfig config;
+  config.num_customers = 200;
+  config.seed = 5;
+  Provider original;
+  ASSERT_TRUE(datagen::PopulateWarehouse(original.database(), config).ok());
+  auto conn = original.Connect();
+  ASSERT_TRUE(conn->Execute(kServices[1].create).ok());  // Naive_Bayes
+  ASSERT_TRUE(conn->Execute(kInsert).ok());
+  // Scoring before the save leaves the original with built tables.
+  ASSERT_TRUE(conn->Execute(kHistogram).ok());
+
+  auto model = original.models()->GetModel("P");
+  ASSERT_TRUE(model.ok());
+  auto document = SerializeModel(**model);
+  ASSERT_TRUE(document.ok()) << document.status().ToString();
+  Provider reloaded;
+  ASSERT_TRUE(datagen::PopulateWarehouse(reloaded.database(), config).ok());
+  auto loaded = DeserializeModel(*document, *reloaded.services());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(reloaded.models()->AdoptModel(std::move(*loaded)).ok());
+  auto conn2 = reloaded.Connect();
+
+  auto expect_identical = [&](const char* when) {
+    auto before = conn->Execute(kHistogram);
+    auto after = conn2->Execute(kHistogram);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    ASSERT_EQ(before->num_rows(), after->num_rows()) << when;
+    ASSERT_GT(before->num_rows(), 0u);
+    for (size_t r = 0; r < before->num_rows(); ++r) {
+      for (size_t c = 0; c < before->num_columns(); ++c) {
+        const Value& a = before->at(r, c);
+        const Value& b = after->at(r, c);
+        ASSERT_EQ(a.kind(), b.kind()) << when << " row " << r << " col " << c;
+        if (a.is_double()) {
+          EXPECT_EQ(a.double_value(), b.double_value())
+              << when << " row " << r << " col " << c;
+        } else {
+          EXPECT_TRUE(a.Equals(b)) << when << " row " << r << " col " << c;
+        }
+      }
+    }
+  };
+  expect_identical("after reload");
+  ASSERT_TRUE(conn->Execute(kInsert).ok());
+  ASSERT_TRUE(conn2->Execute(kInsert).ok());
+  expect_identical("after refresh");
+}
+
 TEST(PmmlTest, UntrainedModelsSerializeDefinitionsOnly) {
   Provider provider;
   auto conn = provider.Connect();

@@ -11,12 +11,18 @@ record instead of overwriting the previous machine's numbers. Schema:
         {
           "commit":     "<git short sha the run was taken at>",
           "timestamp":  "<UTC ISO-8601>",
+          "build_type": "<CMAKE_BUILD_TYPE of the OpenDMX tree>",
           "context":    <google-benchmark context object>,
           "benchmarks": <google-benchmark benchmarks array>
         },
         ...
       ]
     }
+
+The host's core count is the context's "num_cpus"; the context's
+"library_build_type" describes google-benchmark itself, not OpenDMX, so
+"build_type" records the project's own build type (absent from records
+appended before it existed).
 
 A history file still holding a raw google-benchmark document (the
 pre-history format: top-level "context"/"benchmarks") is migrated in
@@ -25,7 +31,8 @@ date and the commit marker "pre-history".
 
 Usage:
     bench_append.py --history BENCH_foo.json --run /tmp/foo.json \
-        --commit abc1234 --timestamp 2026-08-09T12:00:00Z
+        --commit abc1234 --timestamp 2026-08-09T12:00:00Z \
+        --build-type RelWithDebInfo
     bench_append.py --history BENCH_foo.json --migrate-only
 """
 
@@ -68,6 +75,8 @@ def main(argv):
                         help="git short sha the run was taken at")
     parser.add_argument("--timestamp", default="",
                         help="UTC ISO-8601 time of the run")
+    parser.add_argument("--build-type", default="",
+                        help="CMAKE_BUILD_TYPE of the OpenDMX build measured")
     parser.add_argument("--migrate-only", action="store_true",
                         help="rewrite a pre-history file in place; no --run")
     args = parser.parse_args(argv)
@@ -87,6 +96,7 @@ def main(argv):
         history["records"].append({
             "commit": args.commit,
             "timestamp": args.timestamp,
+            "build_type": args.build_type,
             "context": run.get("context"),
             "benchmarks": run["benchmarks"],
         })

@@ -41,10 +41,19 @@ STAMP="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT
 
+# The CMAKE_BUILD_TYPE a configured tree was built with (the project's
+# default when the cache leaves it empty).
+build_type() {
+  local type
+  type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$1/CMakeCache.txt")"
+  echo "${type:-RelWithDebInfo}"
+}
+
+# append NAME BUILD_DIR
 append() {
   python3 "$REPO_ROOT/tools/bench_append.py" \
     --history "$OUTPUT_DIR/BENCH_$1.json" --run "$TMP_DIR/$1.json" \
-    --commit "$COMMIT" --timestamp "$STAMP"
+    --commit "$COMMIT" --timestamp "$STAMP" --build-type "$(build_type "$2")"
 }
 
 if [[ ! -d "$BUILD_DIR" ]]; then
@@ -63,7 +72,7 @@ cmake --build "$BUILD_DIR" \
   --benchmark_out_format=json \
   --benchmark_min_time=0.2
 
-append concurrency
+append concurrency "$BUILD_DIR"
 
 "$BUILD_DIR/bench/bench_recovery" \
   --benchmark_format=console \
@@ -71,7 +80,7 @@ append concurrency
   --benchmark_out_format=json \
   --benchmark_min_time=0.2
 
-append recovery
+append recovery "$BUILD_DIR"
 
 "$BUILD_DIR/bench/bench_serving" \
   --benchmark_format=console \
@@ -79,7 +88,7 @@ append recovery
   --benchmark_out_format=json \
   --benchmark_min_time=0.2
 
-append serving
+append serving "$BUILD_DIR"
 
 # Allocation accounting needs the counting operators compiled in, which the
 # main build tree deliberately leaves off (zero-overhead default). Configure
@@ -97,4 +106,4 @@ cmake --build "$ALLOC_BUILD_DIR" --target bench_hotpath -j "$(nproc)"
   --benchmark_out_format=json \
   --benchmark_min_time=0.2
 
-append hotpath
+append hotpath "$ALLOC_BUILD_DIR"

@@ -62,7 +62,7 @@ std::string AssociationModel::ItemName(const AttributeSet& attrs,
 
 Result<CasePrediction> AssociationModel::Predict(
     const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
+    const PredictOptions& /*options*/) const {
   // dmx-hot-begin(ar-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
   CasePrediction out;
@@ -146,20 +146,7 @@ Result<CasePrediction> AssociationModel::Predict(
         prediction.histogram.push_back(std::move(sv));
       }
     }
-    std::stable_sort(prediction.histogram.begin(), prediction.histogram.end(),
-                     [](const ScoredValue& a, const ScoredValue& b) {
-                       return a.probability > b.probability;
-                     });
-    if (options.max_histogram > 0 &&
-        prediction.histogram.size() >
-            static_cast<size_t>(options.max_histogram)) {
-      prediction.histogram.resize(options.max_histogram);
-    }
-    if (!prediction.histogram.empty()) {
-      prediction.predicted = prediction.histogram[0].value;
-      prediction.probability = prediction.histogram[0].probability;
-      prediction.support = prediction.histogram[0].support;
-    }
+    RankHistogram(&prediction);
     out.targets.emplace(group.name, std::move(prediction));
   }
   // dmx-hot-end(ar-predict)

@@ -139,14 +139,8 @@ Result<CasePrediction> ClusteringModel::Predict(
     sv.support = clusters_[i].weight;
     membership.histogram.push_back(std::move(sv));
   }
-  std::stable_sort(membership.histogram.begin(), membership.histogram.end(),
-                   [](const ScoredValue& a, const ScoredValue& b) {
-                     return a.probability > b.probability;
-                   });
+  RankHistogram(&membership);
   if (!membership.histogram.empty()) {
-    membership.predicted = membership.histogram[0].value;
-    membership.probability = membership.histogram[0].probability;
-    membership.support = membership.histogram[0].support;
     membership.cluster_id = static_cast<int>(
         std::max_element(resp.begin(), resp.end()) - resp.begin());
   }
@@ -207,21 +201,7 @@ Result<CasePrediction> ClusteringModel::Predict(
         sv.support = supports[state];
         prediction.histogram.push_back(std::move(sv));
       }
-      std::stable_sort(prediction.histogram.begin(),
-                       prediction.histogram.end(),
-                       [](const ScoredValue& a, const ScoredValue& b) {
-                         return a.probability > b.probability;
-                       });
-      if (options.max_histogram > 0 &&
-          prediction.histogram.size() >
-              static_cast<size_t>(options.max_histogram)) {
-        prediction.histogram.resize(options.max_histogram);
-      }
-      if (!prediction.histogram.empty()) {
-        prediction.predicted = prediction.histogram[0].value;
-        prediction.probability = prediction.histogram[0].probability;
-        prediction.support = prediction.histogram[0].support;
-      }
+      RankHistogram(&prediction);
     }
     out.targets.emplace(attr.name, std::move(prediction));
   }

@@ -406,7 +406,6 @@ Result<CasePrediction> DecisionTreeModel::Predict(
                  : tree.nodes[node].else_child;
     }
     const Node& leaf = tree.nodes[node];
-    prediction.support = leaf.support;
     if (tree.regression) {
       prediction.predicted = Value::Double(leaf.mean);
       prediction.probability = 1.0;
@@ -429,20 +428,10 @@ Result<CasePrediction> DecisionTreeModel::Predict(
         sv.support = leaf.class_counts[cls];
         prediction.histogram.push_back(std::move(sv));
       }
-      std::stable_sort(prediction.histogram.begin(), prediction.histogram.end(),
-                       [](const ScoredValue& a, const ScoredValue& b) {
-                         return a.probability > b.probability;
-                       });
-      if (options.max_histogram > 0 &&
-          prediction.histogram.size() >
-              static_cast<size_t>(options.max_histogram)) {
-        prediction.histogram.resize(options.max_histogram);
-      }
-      if (!prediction.histogram.empty()) {
-        prediction.predicted = prediction.histogram[0].value;
-        prediction.probability = prediction.histogram[0].probability;
-      }
+      RankHistogram(&prediction);
     }
+    // Every case in the leaf backs the prediction, not only the top class's.
+    prediction.support = leaf.support;
     out.targets.emplace(target.name, std::move(prediction));
   }
   // dmx-hot-end(dt-predict)

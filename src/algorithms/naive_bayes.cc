@@ -373,20 +373,7 @@ Result<CasePrediction> NaiveBayesModel::Predict(
           cls < stats.class_counts.size() ? stats.class_counts[cls] : 0;
       prediction.histogram.push_back(std::move(sv));
     }
-    std::stable_sort(prediction.histogram.begin(), prediction.histogram.end(),
-                     [](const ScoredValue& a, const ScoredValue& b) {
-                       return a.probability > b.probability;
-                     });
-    if (options.max_histogram > 0 &&
-        prediction.histogram.size() >
-            static_cast<size_t>(options.max_histogram)) {
-      prediction.histogram.resize(options.max_histogram);
-    }
-    if (!prediction.histogram.empty()) {
-      prediction.predicted = prediction.histogram[0].value;
-      prediction.probability = prediction.histogram[0].probability;
-      prediction.support = prediction.histogram[0].support;
-    }
+    RankHistogram(&prediction);
     out.targets.emplace(target.name, std::move(prediction));
   }
   // dmx-hot-end(nb-predict)

@@ -147,35 +147,30 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
                                       stmt.source_alias,
                                       stmt.natural ? nullptr : &stmt.on));
 
-  // Output schema from the projection items.
+  // Bind every projection item and WHERE operand once. The first bind error
+  // fails the statement before any case is scored, so it does not depend on
+  // whether the caseset has rows; the per-case loop below only evaluates.
+  DmxExprBindings bindings;
   std::vector<ColumnDef> columns;
   columns.reserve(stmt.items.size());
   for (const DmxSelectItem& item : stmt.items) {
-    DMX_ASSIGN_OR_RETURN(
-        ColumnDef def,
-        InferDmxItemColumn(item.expr, item.alias, *model, *source.schema(),
-                           stmt.source_alias));
+    bindings.Prepare(item.expr, *model, *source.schema(), stmt.source_alias);
+    DMX_ASSIGN_OR_RETURN(ColumnDef def,
+                         bindings.ItemColumn(item.expr, item.alias));
     columns.push_back(std::move(def));
   }
   Rowset out(Schema::Make(std::move(columns)));
-
-  PredictOptions options;
-
-  // Per-statement binding: resolve every column path in the projection and
-  // WHERE clause once, so the per-case loop below does no name lookups and
-  // builds no schemas.
-  DmxExprBindings bindings;
-  for (const DmxSelectItem& item : stmt.items) {
-    bindings.Prepare(item.expr, *model, *source.schema(), stmt.source_alias);
-  }
   std::vector<FilterOp> filter_ops;
   filter_ops.reserve(stmt.where.size());
   for (const DmxFilter& filter : stmt.where) {
-    bindings.Prepare(filter.lhs, *model, *source.schema(), stmt.source_alias);
-    bindings.Prepare(filter.rhs, *model, *source.schema(), stmt.source_alias);
+    for (const DmxExpr* operand : {&filter.lhs, &filter.rhs}) {
+      bindings.Prepare(*operand, *model, *source.schema(), stmt.source_alias);
+      DMX_RETURN_IF_ERROR(bindings.Find(*operand).status());
+    }
     DMX_ASSIGN_OR_RETURN(FilterOp op, BindFilterOp(filter.op));
     filter_ops.push_back(op);
   }
+  PredictOptions options;
   PredictionRowContext ctx;
   ctx.model = model;
   ctx.source_schema = source.schema().get();

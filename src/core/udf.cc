@@ -9,60 +9,308 @@ namespace dmx {
 
 namespace {
 
+using Fn = BoundDmxExpr::Fn;
+
 // ---------------------------------------------------------------------------
-// Path resolution
+// Binding
 // ---------------------------------------------------------------------------
 
-using BoundPath = DmxExprBindings::BoundPath;
+// A UDF's name, what it binds to, and how many arguments it takes. Reported
+// as "<name> takes <usage>".
+struct UdfSignature {
+  const char* name;
+  Fn fn;
+  size_t min_args;
+  size_t max_args;
+  const char* usage;
+};
 
-Result<BoundPath> ResolvePath(const std::vector<std::string>& path,
-                              const MiningModel& model,
-                              const Schema& source,
-                              const std::string& source_alias) {
-  const std::string& model_name = model.definition().model_name;
-  BoundPath out;
+constexpr UdfSignature kUdfs[] = {
+    {"Predict", Fn::kPredict, 1, 2, "1 or 2 arguments"},
+    {"PredictAssociation", Fn::kPredict, 1, 2, "1 or 2 arguments"},
+    {"PredictProbability", Fn::kPredictProbability, 1, 2, "1 or 2 arguments"},
+    {"PredictSupport", Fn::kPredictSupport, 1, 2, "1 or 2 arguments"},
+    {"PredictVariance", Fn::kPredictVariance, 1, 2, "1 or 2 arguments"},
+    {"PredictStdev", Fn::kPredictStdev, 1, 2, "1 or 2 arguments"},
+    {"PredictHistogram", Fn::kPredictHistogram, 1, 1, "exactly 1 argument"},
+    {"TopCount", Fn::kTopCount, 3, 3, "(table expr, rank column, count)"},
+    {"RangeMin", Fn::kRangeMin, 1, 1, "exactly 1 argument"},
+    {"RangeMid", Fn::kRangeMid, 1, 1, "exactly 1 argument"},
+    {"RangeMax", Fn::kRangeMax, 1, 1, "exactly 1 argument"},
+    {"Cluster", Fn::kCluster, 0, 0, "no arguments"},
+    {"ClusterProbability", Fn::kClusterProbability, 0, 0, "no arguments"},
+};
+
+// Rows of Predict(<table>) when the call gives no count.
+constexpr size_t kDefaultPredictCount = 10;
+
+// What a bind reads: the model and the join's source.
+struct BindScope {
+  const MiningModel& model;
+  const Schema& source;
+  const std::string& source_alias;
+};
+
+// A column path resolves to exactly one of these.
+struct PathTarget {
+  int source_column = -1;
+  const ModelColumn* model_column = nullptr;
+};
+
+Result<PathTarget> ResolvePath(const std::vector<std::string>& path,
+                               const BindScope& scope) {
+  const ModelDefinition& def = scope.model.definition();
   if (path.size() == 2) {
-    if (!source_alias.empty() && EqualsCi(path[0], source_alias)) {
-      DMX_ASSIGN_OR_RETURN(size_t idx, source.ResolveColumn(path[1]));
-      out.source_column = static_cast<int>(idx);
-      return out;
+    if (!scope.source_alias.empty() && EqualsCi(path[0], scope.source_alias)) {
+      DMX_ASSIGN_OR_RETURN(size_t idx, scope.source.ResolveColumn(path[1]));
+      return PathTarget{static_cast<int>(idx), nullptr};
     }
-    if (EqualsCi(path[0], model_name)) {
-      if (model.definition().FindColumn(path[1]) == nullptr) {
-        return BindError() << "model '" << model_name << "' has no column '"
-                           << path[1] << "'";
+    if (EqualsCi(path[0], def.model_name)) {
+      const ModelColumn* spec = def.FindColumn(path[1]);
+      if (spec == nullptr) {
+        return BindError() << "model '" << def.model_name
+                           << "' has no column '" << path[1] << "'";
       }
-      out.is_model = true;
-      out.model_column = path[1];
-      return out;
+      return PathTarget{-1, spec};
     }
     return BindError() << "unknown qualifier '" << path[0]
                        << "' (expected the model name or the source alias)";
   }
   if (path.size() == 1) {
     // Prefer the model column (the paper qualifies ambiguous references).
-    if (model.definition().FindColumn(path[0]) != nullptr) {
-      out.is_model = true;
-      out.model_column = path[0];
-      return out;
+    if (const ModelColumn* spec = def.FindColumn(path[0])) {
+      return PathTarget{-1, spec};
     }
-    int idx = source.FindColumn(path[0]);
-    if (idx >= 0) {
-      out.source_column = idx;
-      return out;
-    }
+    int idx = scope.source.FindColumn(path[0]);
+    if (idx >= 0) return PathTarget{idx, nullptr};
     return BindError() << "column '" << path[0]
                        << "' exists neither in the model nor in the source";
   }
   return BindError() << "unsupported column path depth " << path.size();
 }
 
-// The prediction for a model column; errors when the column is not a target.
+// The model column a Predict*-style first argument names.
+Result<const ModelColumn*> ModelColumnArg(const DmxExpr& arg,
+                                          const BindScope& scope) {
+  if (arg.kind != DmxExpr::Kind::kColumnPath) {
+    return BindError() << "expected a model column reference, got "
+                       << arg.ToString();
+  }
+  DMX_ASSIGN_OR_RETURN(PathTarget target, ResolvePath(arg.path, scope));
+  if (target.model_column == nullptr) {
+    return BindError() << arg.ToString() << " is a source column; Predict "
+                       << "functions take model columns";
+  }
+  return target.model_column;
+}
+
+// Predict(<table>, n) and TopCount's n: a non-negative integer literal.
+Result<size_t> CountArg(const DmxExpr& call, const DmxExpr& arg) {
+  if (arg.kind != DmxExpr::Kind::kLiteral || !arg.literal.is_long()) {
+    return InvalidArgument() << call.function
+                             << ": count must be an integer literal";
+  }
+  if (arg.literal.long_value() < 0) {
+    return InvalidArgument() << call.function
+                             << ": count must not be negative, got "
+                             << arg.literal.long_value();
+  }
+  return static_cast<size_t>(arg.literal.long_value());
+}
+
+DataType ModelColumnType(const ModelColumn& spec) {
+  if (spec.attr_type == AttributeType::kDiscretized) return DataType::kDouble;
+  return spec.data_type;
+}
+
+// The schema of every histogram table a statement builds for `spec`. Its
+// value column is the nested KEY of a TABLE target, the column itself for a
+// scalar one.
+std::shared_ptr<const Schema> HistogramSchema(const ModelColumn& spec) {
+  const ModelColumn* value = &spec;
+  if (spec.is_table()) {
+    for (const ModelColumn& nested : spec.nested) {
+      if (nested.is_key()) {
+        value = &nested;
+        break;
+      }
+    }
+  }
+  return Schema::Make({{value->name, ModelColumnType(*value)},
+                       {"$SUPPORT", DataType::kDouble},
+                       {"$PROBABILITY", DataType::kDouble},
+                       {"$VARIANCE", DataType::kDouble},
+                       {"$STDEV", DataType::kDouble}});
+}
+
+DataType LiteralType(const Value& literal) {
+  if (literal.is_long()) return DataType::kLong;
+  if (literal.is_double()) return DataType::kDouble;
+  if (literal.is_bool()) return DataType::kBool;
+  return DataType::kText;
+}
+
+// A Predict*/Range* call on `target`, with its output column.
+BoundDmxExpr BindModelCall(Fn fn, const ModelColumn& target) {
+  BoundDmxExpr out;
+  out.fn = fn;
+  out.target = &target;
+  const bool table_valued = fn == Fn::kPredictHistogram ||
+                            (fn == Fn::kPredict && target.is_table());
+  if (table_valued) {
+    out.column = ColumnDef("", HistogramSchema(target));
+  } else {
+    out.column.type =
+        fn == Fn::kPredict ? ModelColumnType(target) : DataType::kDouble;
+  }
+  if (fn == Fn::kPredict) out.count = kDefaultPredictCount;
+  return out;
+}
+
+Result<BoundDmxExpr> Bind(const DmxExpr& expr, const BindScope& scope);
+
+Result<BoundDmxExpr> BindTopCount(const DmxExpr& expr,
+                                  const BindScope& scope) {
+  DMX_ASSIGN_OR_RETURN(BoundDmxExpr table, Bind(expr.args[0], scope));
+  if (table.column.type != DataType::kTable || table.column.nested == nullptr) {
+    return InvalidArgument() << "TopCount: first argument is not a table";
+  }
+  // The rank column lives inside argument 0's table: $Stat or a name.
+  const DmxExpr& rank = expr.args[1];
+  std::string rank_name;
+  if (rank.kind == DmxExpr::Kind::kDollar) {
+    rank_name = "$" + rank.dollar;
+  } else if (rank.kind == DmxExpr::Kind::kColumnPath &&
+             rank.path.size() == 1) {
+    rank_name = rank.path[0];
+  } else {
+    return InvalidArgument() << "TopCount: rank must be $Stat or a column name";
+  }
+  BoundDmxExpr out;
+  out.fn = Fn::kTopCount;
+  DMX_ASSIGN_OR_RETURN(out.count, CountArg(expr, expr.args[2]));
+  DMX_ASSIGN_OR_RETURN(out.rank_column,
+                       table.column.nested->ResolveColumn(rank_name));
+  out.column = table.column;
+  out.table = std::make_unique<const BoundDmxExpr>(std::move(table));
+  return out;
+}
+
+Result<BoundDmxExpr> BindFunction(const DmxExpr& expr,
+                                  const BindScope& scope) {
+  // The only place UDF names are compared.
+  const UdfSignature* udf = nullptr;
+  for (const UdfSignature& candidate : kUdfs) {
+    if (EqualsCi(expr.function, candidate.name)) {
+      udf = &candidate;
+      break;
+    }
+  }
+  if (udf == nullptr) {
+    return NotSupported() << "unknown function '" << expr.function << "'";
+  }
+  const std::vector<DmxExpr>& args = expr.args;
+  if (args.size() < udf->min_args || args.size() > udf->max_args) {
+    return InvalidArgument() << expr.function << " takes " << udf->usage;
+  }
+  switch (udf->fn) {
+    case Fn::kTopCount:
+      return BindTopCount(expr, scope);
+    case Fn::kCluster:
+    case Fn::kClusterProbability: {
+      BoundDmxExpr out;
+      out.fn = udf->fn;
+      out.column.type =
+          udf->fn == Fn::kCluster ? DataType::kText : DataType::kDouble;
+      return out;
+    }
+    default:
+      break;
+  }
+  // Every other UDF reads the prediction for the model column in argument 0.
+  DMX_ASSIGN_OR_RETURN(const ModelColumn* target,
+                       ModelColumnArg(args[0], scope));
+  BoundDmxExpr out = BindModelCall(udf->fn, *target);
+  switch (udf->fn) {
+    case Fn::kPredict:
+      if (args.size() == 2) {
+        DMX_ASSIGN_OR_RETURN(out.count, CountArg(expr, args[1]));
+      }
+      break;
+    case Fn::kPredictProbability:
+    case Fn::kPredictSupport:
+    case Fn::kPredictVariance:
+    case Fn::kPredictStdev:
+      if (args.size() == 2) {
+        if (args[1].kind != DmxExpr::Kind::kLiteral) {
+          return InvalidArgument() << expr.function << ": second argument "
+                                   << "must be a literal value";
+        }
+        out.value = args[1].literal;
+      }
+      break;
+    case Fn::kRangeMin:
+    case Fn::kRangeMid:
+    case Fn::kRangeMax: {
+      const AttributeSet& attrs = scope.model.attributes();
+      out.attribute = attrs.FindAttribute(target->name);
+      if (out.attribute < 0) {
+        return BindError() << expr.function << ": '" << target->name
+                           << "' is not a scalar attribute";
+      }
+      if (!attrs.attributes[out.attribute].is_discretized()) {
+        return InvalidArgument() << expr.function << ": '" << target->name
+                                 << "' is not DISCRETIZED";
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  return out;
+}
+
+Result<BoundDmxExpr> Bind(const DmxExpr& expr, const BindScope& scope) {
+  switch (expr.kind) {
+    case DmxExpr::Kind::kLiteral: {
+      BoundDmxExpr out;
+      out.value = expr.literal;
+      out.column.type = LiteralType(expr.literal);
+      return out;
+    }
+    case DmxExpr::Kind::kDollar:
+      return BindError() << "$" << expr.dollar
+                         << " is only meaningful inside table functions";
+    case DmxExpr::Kind::kColumnPath: {
+      DMX_ASSIGN_OR_RETURN(PathTarget target, ResolvePath(expr.path, scope));
+      if (target.model_column != nullptr) {
+        // A bare model column reference means its prediction (the paper's
+        // "SELECT ..., [Age Prediction].[Age] FROM ... PREDICTION JOIN").
+        return BindModelCall(Fn::kPredict, *target.model_column);
+      }
+      BoundDmxExpr out;
+      out.fn = Fn::kSourceColumn;
+      out.source_column = target.source_column;
+      out.column = scope.source.column(target.source_column);
+      return out;
+    }
+    case DmxExpr::Kind::kFunction:
+      return BindFunction(expr, scope);
+  }
+  return Internal() << "unreachable expression kind";
+}
+
+// ---------------------------------------------------------------------------
+// Evaluation
+// ---------------------------------------------------------------------------
+
+// The prediction for a model column; errors when this case's prediction
+// does not carry it.
 Result<const AttributePrediction*> TargetPrediction(
-    const std::string& column, const PredictionRowContext& ctx) {
-  const AttributePrediction* p = ctx.prediction->Find(column);
+    const ModelColumn& column, const PredictionRowContext& ctx) {
+  const AttributePrediction* p = ctx.prediction->Find(column.name);
   if (p == nullptr) {
-    return BindError() << "column '" << column
+    return BindError() << "column '" << column.name
                        << "' is not predicted by model '"
                        << ctx.model->definition().model_name
                        << "' (is it marked PREDICT?)";
@@ -70,87 +318,10 @@ Result<const AttributePrediction*> TargetPrediction(
   return p;
 }
 
-// The binding for a column-path expression: the statement's prepared cache
-// when available, live resolution into `scratch` otherwise. The returned
-// pointer aliases either the cache or `scratch` — no per-row string copies.
-Result<const BoundPath*> BoundPathFor(const DmxExpr& expr,
-                                      const PredictionRowContext& ctx,
-                                      BoundPath* scratch) {
-  if (ctx.bindings != nullptr) {
-    if (const BoundPath* bound = ctx.bindings->Find(expr)) return bound;
-  }
-  DMX_ASSIGN_OR_RETURN(*scratch, ResolvePath(expr.path, *ctx.model,
-                                             *ctx.source_schema,
-                                             ctx.source_alias));
-  return scratch;
-}
-
-// Resolving Predict*-style first arguments down to a model column binding.
-Result<const BoundPath*> ModelColumnArg(const DmxExpr& arg,
-                                        const PredictionRowContext& ctx,
-                                        BoundPath* scratch) {
-  if (arg.kind != DmxExpr::Kind::kColumnPath) {
-    return BindError() << "expected a model column reference, got "
-                       << arg.ToString();
-  }
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound, BoundPathFor(arg, ctx, scratch));
-  if (!bound->is_model) {
-    return BindError() << arg.ToString() << " is a source column; Predict "
-                       << "functions take model columns";
-  }
-  return bound;
-}
-
-// ---------------------------------------------------------------------------
-// Nested-table construction
-// ---------------------------------------------------------------------------
-
-DataType ModelColumnType(const MiningModel& model, const std::string& column) {
-  const ModelColumn* spec = model.definition().FindColumn(column);
-  if (spec == nullptr) return DataType::kText;
-  if (spec->attr_type == AttributeType::kDiscretized) return DataType::kDouble;
-  return spec->data_type;
-}
-
-// Name of the value column inside histogram tables: the nested KEY name for
-// TABLE targets, the column's own name for scalar targets.
-std::string HistogramValueColumnName(const MiningModel& model,
-                                     const std::string& column) {
-  const ModelColumn* spec = model.definition().FindColumn(column);
-  if (spec != nullptr && spec->is_table()) {
-    for (const ModelColumn& nested : spec->nested) {
-      if (nested.is_key()) return nested.name;
-    }
-  }
-  return column;
-}
-
-DataType HistogramValueColumnType(const MiningModel& model,
-                                  const std::string& column) {
-  const ModelColumn* spec = model.definition().FindColumn(column);
-  if (spec != nullptr && spec->is_table()) {
-    for (const ModelColumn& nested : spec->nested) {
-      if (nested.is_key()) return nested.data_type;
-    }
-  }
-  return ModelColumnType(model, column);
-}
-
-std::shared_ptr<const Schema> HistogramSchema(const MiningModel& model,
-                                              const std::string& column) {
-  return Schema::Make({{HistogramValueColumnName(model, column),
-                        HistogramValueColumnType(model, column)},
-                       {"$SUPPORT", DataType::kDouble},
-                       {"$PROBABILITY", DataType::kDouble},
-                       {"$VARIANCE", DataType::kDouble},
-                       {"$STDEV", DataType::kDouble}});
-}
-
-Value HistogramTable(const MiningModel& model, const BoundPath& bound,
-                     const AttributePrediction& prediction, int limit) {
+Value HistogramTable(const BoundDmxExpr& bound,
+                     const AttributePrediction& prediction) {
+  const size_t n = std::min(prediction.histogram.size(), bound.count);
   std::vector<Row> rows;
-  size_t n = prediction.histogram.size();
-  if (limit > 0) n = std::min(n, static_cast<size_t>(limit));
   rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const ScoredValue& sv = prediction.histogram[i];
@@ -158,202 +329,121 @@ Value HistogramTable(const MiningModel& model, const BoundPath& bound,
                     Value::Double(sv.probability), Value::Double(sv.variance),
                     Value::Double(sv.stdev())});
   }
-  std::shared_ptr<const Schema> schema =
-      bound.histogram_schema != nullptr
-          ? bound.histogram_schema
-          : HistogramSchema(model, bound.model_column);
-  return Value::Table(NestedTable::Make(std::move(schema), std::move(rows)));
+  return Value::Table(NestedTable::Make(bound.column.nested, std::move(rows)));
 }
 
-// Histogram entry matching an explicit value argument.
-const ScoredValue* FindHistogramValue(const AttributePrediction& prediction,
-                                      const Value& value) {
-  for (const ScoredValue& sv : prediction.histogram) {
-    if (sv.value.Equals(value)) return &sv;
-  }
-  return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Individual UDFs
-// ---------------------------------------------------------------------------
-
-Result<Value> EvalPredict(const DmxExpr& expr, const PredictionRowContext& ctx) {
-  if (expr.args.empty() || expr.args.size() > 2) {
-    return InvalidArgument() << "Predict takes 1 or 2 arguments";
-  }
-  BoundPath scratch;
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                       ModelColumnArg(expr.args[0], ctx, &scratch));
-  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                       TargetPrediction(bound->model_column, ctx));
-  const ModelColumn* spec =
-      ctx.model->definition().FindColumn(bound->model_column);
-  if (spec != nullptr && spec->is_table()) {
-    int limit = 10;
-    if (expr.args.size() == 2) {
-      if (expr.args[1].kind != DmxExpr::Kind::kLiteral ||
-          !expr.args[1].literal.is_long()) {
-        return InvalidArgument() << "Predict(<table>, n): n must be an integer";
+Value PredictStat(const BoundDmxExpr& bound,
+                  const AttributePrediction& prediction) {
+  double probability = prediction.probability;
+  double support = prediction.support;
+  double variance = prediction.variance;
+  if (bound.value.has_value()) {
+    const ScoredValue* entry = nullptr;
+    for (const ScoredValue& sv : prediction.histogram) {
+      if (sv.value.Equals(*bound.value)) {
+        entry = &sv;
+        break;
       }
-      limit = static_cast<int>(expr.args[1].literal.long_value());
     }
-    return HistogramTable(*ctx.model, *bound, *p, limit);
+    probability = entry != nullptr ? entry->probability : 0;
+    support = entry != nullptr ? entry->support : 0;
+    variance = entry != nullptr ? entry->variance : 0;
   }
-  return p->predicted;
-}
-
-enum class Stat { kProbability, kSupport, kVariance, kStdev };
-
-Result<Value> EvalPredictStat(const DmxExpr& expr,
-                              const PredictionRowContext& ctx, Stat stat) {
-  if (expr.args.empty() || expr.args.size() > 2) {
-    return InvalidArgument() << expr.function << " takes 1 or 2 arguments";
-  }
-  BoundPath scratch;
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                       ModelColumnArg(expr.args[0], ctx, &scratch));
-  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                       TargetPrediction(bound->model_column, ctx));
-  double probability = p->probability;
-  double support = p->support;
-  double variance = p->variance;
-  if (expr.args.size() == 2) {
-    if (expr.args[1].kind != DmxExpr::Kind::kLiteral) {
-      return InvalidArgument() << expr.function
-                               << ": second argument must be a literal value";
-    }
-    const ScoredValue* sv = FindHistogramValue(*p, expr.args[1].literal);
-    if (sv == nullptr) {
-      probability = 0;
-      support = 0;
-      variance = 0;
-    } else {
-      probability = sv->probability;
-      support = sv->support;
-      variance = sv->variance;
-    }
-  }
-  switch (stat) {
-    case Stat::kProbability:
+  switch (bound.fn) {
+    case Fn::kPredictProbability:
       return Value::Double(probability);
-    case Stat::kSupport:
-      return Value::Double(support);
-    case Stat::kVariance:
+    case Fn::kPredictVariance:
       return Value::Double(variance);
-    case Stat::kStdev:
+    case Fn::kPredictStdev:
       return Value::Double(variance > 0 ? std::sqrt(variance) : 0);
+    default:  // PredictSupport
+      return Value::Double(support);
   }
-  return Internal() << "unreachable stat";
 }
 
-Result<Value> EvalPredictHistogram(const DmxExpr& expr,
-                                   const PredictionRowContext& ctx) {
-  if (expr.args.size() != 1) {
-    return InvalidArgument() << "PredictHistogram takes exactly 1 argument";
+Value RangePoint(const BoundDmxExpr& bound,
+                 const AttributePrediction& prediction,
+                 const PredictionRowContext& ctx) {
+  if (prediction.histogram.empty() || prediction.histogram[0].state < 0) {
+    return Value::Null();
   }
-  BoundPath scratch;
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                       ModelColumnArg(expr.args[0], ctx, &scratch));
-  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                       TargetPrediction(bound->model_column, ctx));
-  return HistogramTable(*ctx.model, *bound, *p, /*limit=*/0);
-}
-
-Result<Value> EvalTopCount(const DmxExpr& expr,
-                           const PredictionRowContext& ctx) {
-  if (expr.args.size() != 3) {
-    return InvalidArgument()
-           << "TopCount takes (table expr, rank column, count)";
-  }
-  DMX_ASSIGN_OR_RETURN(Value table, EvaluateDmxExpr(expr.args[0], ctx));
-  if (!table.is_table() || table.table_value() == nullptr) {
-    return InvalidArgument() << "TopCount: first argument is not a table";
-  }
-  // Rank column: $Stat or a column name.
-  std::string rank_name;
-  if (expr.args[1].kind == DmxExpr::Kind::kDollar) {
-    rank_name = "$" + ToUpper(expr.args[1].dollar);
-  } else if (expr.args[1].kind == DmxExpr::Kind::kColumnPath &&
-             expr.args[1].path.size() == 1) {
-    rank_name = expr.args[1].path[0];
-  } else {
-    return InvalidArgument() << "TopCount: rank must be $Stat or a column name";
-  }
-  if (expr.args[2].kind != DmxExpr::Kind::kLiteral ||
-      !expr.args[2].literal.is_long()) {
-    return InvalidArgument() << "TopCount: count must be an integer literal";
-  }
-  int64_t count = expr.args[2].literal.long_value();
-  const NestedTable& nested = *table.table_value();
-  DMX_ASSIGN_OR_RETURN(size_t rank_col,
-                       nested.schema()->ResolveColumn(rank_name));
-  std::vector<Row> rows = nested.rows();
-  std::stable_sort(rows.begin(), rows.end(),
-                   [rank_col](const Row& a, const Row& b) {
-                     return a[rank_col].Compare(b[rank_col]) > 0;
-                   });
-  if (rows.size() > static_cast<size_t>(count)) {
-    rows.resize(static_cast<size_t>(count));
-  }
-  return Value::Table(NestedTable::Make(nested.schema(), std::move(rows)));
-}
-
-enum class RangePoint { kMin, kMid, kMax };
-
-Result<Value> EvalRange(const DmxExpr& expr, const PredictionRowContext& ctx,
-                        RangePoint point) {
-  if (expr.args.size() != 1) {
-    return InvalidArgument() << expr.function << " takes exactly 1 argument";
-  }
-  BoundPath scratch;
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                       ModelColumnArg(expr.args[0], ctx, &scratch));
-  const std::string& column = bound->model_column;
-  int attr_index = ctx.model->attributes().FindAttribute(column);
-  if (attr_index < 0) {
-    return BindError() << expr.function << ": '" << column
-                       << "' is not a scalar attribute";
-  }
-  const Attribute& attr = ctx.model->attributes().attributes[attr_index];
-  if (!attr.is_discretized()) {
-    return InvalidArgument() << expr.function << ": '" << column
-                             << "' is not DISCRETIZED";
-  }
-  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                       TargetPrediction(column, ctx));
-  if (p->histogram.empty() || p->histogram[0].state < 0) return Value::Null();
-  int bucket = p->histogram[0].state;
-  const auto& bounds = attr.bucket_bounds;
+  const int bucket = prediction.histogram[0].state;
+  const auto& bounds =
+      ctx.model->attributes().attributes[bound.attribute].bucket_bounds;
   const int n = static_cast<int>(bounds.size());
   if (n == 0) return Value::Null();
-  bool open_low = bucket <= 0;
-  bool open_high = bucket >= n;
-  double lo = open_low ? bounds[0] : bounds[bucket - 1];
-  double hi = open_high ? bounds[n - 1] : bounds[bucket];
-  switch (point) {
-    case RangePoint::kMin:
+  const bool open_low = bucket <= 0;
+  const bool open_high = bucket >= n;
+  const double lo = open_low ? bounds[0] : bounds[bucket - 1];
+  const double hi = open_high ? bounds[n - 1] : bounds[bucket];
+  switch (bound.fn) {
+    case Fn::kRangeMin:
       return open_low ? Value::Null() : Value::Double(lo);
-    case RangePoint::kMax:
+    case Fn::kRangeMax:
       return open_high ? Value::Null() : Value::Double(hi);
-    case RangePoint::kMid:
+    default:  // RangeMid
       if (open_low) return Value::Double(bounds[0]);
       if (open_high) return Value::Double(bounds[n - 1]);
       return Value::Double((lo + hi) / 2);
   }
-  return Internal() << "unreachable range point";
 }
 
-Result<Value> EvalCluster(const DmxExpr& expr,
-                          const PredictionRowContext& ctx, bool probability) {
-  if (!expr.args.empty()) {
-    return InvalidArgument() << expr.function << " takes no arguments";
+Result<Value> Evaluate(const BoundDmxExpr& bound,
+                       const PredictionRowContext& ctx) {
+  switch (bound.fn) {
+    case Fn::kLiteral:
+      return *bound.value;
+    case Fn::kSourceColumn:
+      return (*ctx.source_row)[bound.source_column];
+    case Fn::kCluster:
+    case Fn::kClusterProbability: {
+      const AttributePrediction* p = ctx.prediction->Find("$CLUSTER");
+      if (p == nullptr) {
+        return InvalidState()
+               << (bound.fn == Fn::kCluster ? "Cluster" : "ClusterProbability")
+               << " requires a segmentation model";
+      }
+      if (bound.fn == Fn::kCluster) return p->predicted;
+      return Value::Double(p->probability);
+    }
+    case Fn::kTopCount: {
+      DMX_ASSIGN_OR_RETURN(Value table, Evaluate(*bound.table, ctx));
+      if (!table.is_table() || table.table_value() == nullptr) {
+        return InvalidArgument() << "TopCount: first argument is not a table";
+      }
+      const NestedTable& nested = *table.table_value();
+      if (nested.schema()->num_columns() <= bound.rank_column) {
+        return InvalidArgument()
+               << "TopCount: table value does not match its declared schema";
+      }
+      std::vector<Row> rows = nested.rows();
+      const size_t rank = bound.rank_column;
+      std::stable_sort(rows.begin(), rows.end(),
+                       [rank](const Row& a, const Row& b) {
+                         return a[rank].Compare(b[rank]) > 0;
+                       });
+      if (rows.size() > bound.count) rows.resize(bound.count);
+      return Value::Table(NestedTable::Make(nested.schema(), std::move(rows)));
+    }
+    default:
+      break;
   }
-  const AttributePrediction* p = ctx.prediction->Find("$CLUSTER");
-  if (p == nullptr) {
-    return InvalidState() << expr.function << " requires a segmentation model";
+  // Every other node reads the case's prediction for its model column.
+  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
+                       TargetPrediction(*bound.target, ctx));
+  switch (bound.fn) {
+    case Fn::kPredict:
+      if (bound.column.type != DataType::kTable) return p->predicted;
+      return HistogramTable(bound, *p);
+    case Fn::kPredictHistogram:
+      return HistogramTable(bound, *p);
+    case Fn::kRangeMin:
+    case Fn::kRangeMid:
+    case Fn::kRangeMax:
+      return RangePoint(bound, *p, ctx);
+    default:  // PredictProbability/Support/Variance/Stdev
+      return PredictStat(bound, *p);
   }
-  return probability ? Value::Double(p->probability) : p->predicted;
 }
 
 }  // namespace
@@ -361,88 +451,32 @@ Result<Value> EvalCluster(const DmxExpr& expr,
 void DmxExprBindings::Prepare(const DmxExpr& expr, const MiningModel& model,
                               const Schema& source,
                               const std::string& source_alias) {
-  switch (expr.kind) {
-    case DmxExpr::Kind::kLiteral:
-    case DmxExpr::Kind::kDollar:
-      return;
-    case DmxExpr::Kind::kColumnPath: {
-      if (paths_.count(&expr) > 0) return;
-      Result<BoundPath> resolved =
-          ResolvePath(expr.path, model, source, source_alias);
-      // Leave unresolvable paths unbound: evaluation re-resolves and reports
-      // the same diagnostic, so prepare-time failures change nothing.
-      if (!resolved.ok()) return;
-      BoundPath bound = std::move(resolved).value();
-      if (bound.is_model) {
-        bound.histogram_schema = HistogramSchema(model, bound.model_column);
-      }
-      paths_.emplace(&expr, std::move(bound));
-      return;
-    }
-    case DmxExpr::Kind::kFunction:
-      break;
-  }
-  // TopCount's rank argument names a column *inside* the nested table value,
-  // not a model or source column — it must stay unbound.
-  const bool is_top_count = EqualsCi(expr.function, "TopCount");
-  for (size_t i = 0; i < expr.args.size(); ++i) {
-    if (is_top_count && i == 1) continue;
-    Prepare(expr.args[i], model, source, source_alias);
-  }
+  if (roots_.count(&expr) > 0) return;
+  roots_.emplace(&expr, Bind(expr, BindScope{model, source, source_alias}));
 }
 
-const DmxExprBindings::BoundPath* DmxExprBindings::Find(
-    const DmxExpr& expr) const {
-  auto it = paths_.find(&expr);
-  return it == paths_.end() ? nullptr : &it->second;
+Result<const BoundDmxExpr*> DmxExprBindings::Find(const DmxExpr& expr) const {
+  auto it = roots_.find(&expr);
+  if (it == roots_.end()) {
+    return Internal() << "expression " << expr.ToString()
+                      << " was not prepared for this statement";
+  }
+  if (!it->second.ok()) return it->second.status();
+  return &*it->second;
 }
 
-Result<Value> EvaluateDmxExpr(const DmxExpr& expr,
-                              const PredictionRowContext& ctx) {
-  switch (expr.kind) {
-    case DmxExpr::Kind::kLiteral:
-      return expr.literal;
-    case DmxExpr::Kind::kDollar:
-      return BindError() << "$" << expr.dollar
-                         << " is only meaningful inside table functions";
-    case DmxExpr::Kind::kColumnPath: {
-      BoundPath scratch;
-      DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                           BoundPathFor(expr, ctx, &scratch));
-      if (!bound->is_model) return (*ctx.source_row)[bound->source_column];
-      // A bare model column reference means its prediction (the paper's
-      // "SELECT ..., [Age Prediction].[Age] FROM ... PREDICTION JOIN ...").
-      DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                           TargetPrediction(bound->model_column, ctx));
-      return p->predicted;
-    }
-    case DmxExpr::Kind::kFunction:
-      break;
+Result<ColumnDef> DmxExprBindings::ItemColumn(const DmxExpr& expr,
+                                              const std::string& alias) const {
+  DMX_ASSIGN_OR_RETURN(const BoundDmxExpr* bound, Find(expr));
+  ColumnDef def = bound->column;
+  if (!alias.empty()) {
+    def.name = alias;
+  } else if (expr.kind == DmxExpr::Kind::kColumnPath) {
+    def.name = expr.path.back();
+  } else {
+    def.name = expr.ToString();
   }
-  const std::string& f = expr.function;
-  if (EqualsCi(f, "Predict") || EqualsCi(f, "PredictAssociation")) {
-    return EvalPredict(expr, ctx);
-  }
-  if (EqualsCi(f, "PredictProbability")) {
-    return EvalPredictStat(expr, ctx, Stat::kProbability);
-  }
-  if (EqualsCi(f, "PredictSupport")) {
-    return EvalPredictStat(expr, ctx, Stat::kSupport);
-  }
-  if (EqualsCi(f, "PredictVariance")) {
-    return EvalPredictStat(expr, ctx, Stat::kVariance);
-  }
-  if (EqualsCi(f, "PredictStdev")) {
-    return EvalPredictStat(expr, ctx, Stat::kStdev);
-  }
-  if (EqualsCi(f, "PredictHistogram")) return EvalPredictHistogram(expr, ctx);
-  if (EqualsCi(f, "TopCount")) return EvalTopCount(expr, ctx);
-  if (EqualsCi(f, "RangeMin")) return EvalRange(expr, ctx, RangePoint::kMin);
-  if (EqualsCi(f, "RangeMid")) return EvalRange(expr, ctx, RangePoint::kMid);
-  if (EqualsCi(f, "RangeMax")) return EvalRange(expr, ctx, RangePoint::kMax);
-  if (EqualsCi(f, "Cluster")) return EvalCluster(expr, ctx, false);
-  if (EqualsCi(f, "ClusterProbability")) return EvalCluster(expr, ctx, true);
-  return NotSupported() << "unknown function '" << f << "'";
+  return def;
 }
 
 Result<ColumnDef> InferDmxItemColumn(const DmxExpr& expr,
@@ -450,97 +484,18 @@ Result<ColumnDef> InferDmxItemColumn(const DmxExpr& expr,
                                      const MiningModel& model,
                                      const Schema& source,
                                      const std::string& source_alias) {
-  ColumnDef def;
-  def.name = !alias.empty()
-                 ? alias
-                 : (expr.kind == DmxExpr::Kind::kColumnPath
-                        ? expr.path.back()
-                        : expr.ToString());
-  switch (expr.kind) {
-    case DmxExpr::Kind::kLiteral:
-      def.type = expr.literal.is_long()     ? DataType::kLong
-                 : expr.literal.is_double() ? DataType::kDouble
-                 : expr.literal.is_bool()   ? DataType::kBool
-                                            : DataType::kText;
-      return def;
-    case DmxExpr::Kind::kDollar:
-      return BindError() << "$" << expr.dollar
-                         << " cannot be a projection item";
-    case DmxExpr::Kind::kColumnPath: {
-      DMX_ASSIGN_OR_RETURN(BoundPath resolved,
-                           ResolvePath(expr.path, model, source, source_alias));
-      if (!resolved.is_model) {
-        def.type = source.column(resolved.source_column).type;
-        def.nested = source.column(resolved.source_column).nested;
-        return def;
-      }
-      const ModelColumn* spec = model.definition().FindColumn(
-          resolved.model_column);
-      if (spec != nullptr && spec->is_table()) {
-        def.type = DataType::kTable;
-        def.nested = HistogramSchema(model, resolved.model_column);
-        return def;
-      }
-      def.type = ModelColumnType(model, resolved.model_column);
-      return def;
-    }
-    case DmxExpr::Kind::kFunction:
-      break;
+  DmxExprBindings bindings;
+  bindings.Prepare(expr, model, source, source_alias);
+  return bindings.ItemColumn(expr, alias);
+}
+
+Result<Value> EvaluateDmxExpr(const DmxExpr& expr,
+                              const PredictionRowContext& ctx) {
+  if (ctx.bindings == nullptr) {
+    return Internal() << "EvaluateDmxExpr needs the statement's bindings";
   }
-  const std::string& f = expr.function;
-  auto table_result = [&](const std::string& column) {
-    def.type = DataType::kTable;
-    def.nested = HistogramSchema(model, column);
-    return def;
-  };
-  if (EqualsCi(f, "PredictHistogram") ||
-      ((EqualsCi(f, "Predict") || EqualsCi(f, "PredictAssociation")) &&
-       !expr.args.empty())) {
-    DMX_ASSIGN_OR_RETURN(std::string column,
-                         [&]() -> Result<std::string> {
-                           if (expr.args[0].kind !=
-                               DmxExpr::Kind::kColumnPath) {
-                             return BindError() << f << ": bad argument";
-                           }
-                           DMX_ASSIGN_OR_RETURN(
-                               BoundPath resolved,
-                               ResolvePath(expr.args[0].path, model, source,
-                                           source_alias));
-                           if (!resolved.is_model) {
-                             return BindError()
-                                    << f << ": argument is not a model column";
-                           }
-                           return resolved.model_column;
-                         }());
-    const ModelColumn* spec = model.definition().FindColumn(column);
-    if (EqualsCi(f, "PredictHistogram") ||
-        (spec != nullptr && spec->is_table())) {
-      return table_result(column);
-    }
-    def.type = ModelColumnType(model, column);
-    return def;
-  }
-  if (EqualsCi(f, "TopCount")) {
-    if (expr.args.empty()) return BindError() << "TopCount needs arguments";
-    DMX_ASSIGN_OR_RETURN(ColumnDef inner,
-                         InferDmxItemColumn(expr.args[0], "", model, source,
-                                            source_alias));
-    def.type = inner.type;
-    def.nested = inner.nested;
-    return def;
-  }
-  if (EqualsCi(f, "Cluster")) {
-    def.type = DataType::kText;
-    return def;
-  }
-  if (EqualsCi(f, "PredictProbability") || EqualsCi(f, "PredictSupport") ||
-      EqualsCi(f, "PredictVariance") || EqualsCi(f, "PredictStdev") ||
-      EqualsCi(f, "ClusterProbability") || EqualsCi(f, "RangeMin") ||
-      EqualsCi(f, "RangeMid") || EqualsCi(f, "RangeMax")) {
-    def.type = DataType::kDouble;
-    return def;
-  }
-  return NotSupported() << "unknown function '" << f << "'";
+  DMX_ASSIGN_OR_RETURN(const BoundDmxExpr* bound, ctx.bindings->Find(expr));
+  return Evaluate(*bound, ctx);
 }
 
 }  // namespace dmx

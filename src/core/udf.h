@@ -6,23 +6,28 @@
 //
 // Shipped UDFs:
 //   Predict(<col> [, n])           best estimate; on a TABLE column: nested
-//                                  table of the top-n recommended items
+//                                  table of the top-n (default 10)
+//                                  recommended items
+//   PredictAssociation(<col> [, n])  same as Predict
 //   PredictProbability(<col> [, value])
 //   PredictSupport(<col> [, value])
-//   PredictVariance(<col>) / PredictStdev(<col>)
+//   PredictVariance(<col> [, value]) / PredictStdev(<col> [, value])
 //   PredictHistogram(<col>)        nested table: value, $SUPPORT,
 //                                  $PROBABILITY, $VARIANCE, $STDEV
 //   TopCount(<table expr>, <rank column | $stat>, n)
 //   RangeMin/RangeMid/RangeMax(<col>)   DISCRETIZED bucket bounds
 //   Cluster() / ClusterProbability()    segmentation membership
+// A bare model column reference ([M].[Age]) means Predict([Age]). Every
+// count n is a non-negative integer literal; 0 yields an empty table.
 
 #ifndef DMX_CORE_UDF_H_
 #define DMX_CORE_UDF_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/rowset.h"
 #include "core/dmx_ast.h"
@@ -30,35 +35,64 @@
 
 namespace dmx {
 
-/// Per-statement binding cache for prediction-join expressions. Column-path
-/// resolution (model-vs-source disambiguation, case-insensitive name lookup)
-/// and histogram schema construction are per-statement work; without this
-/// cache they were redone for every joined case. Prepare() walks one
-/// expression tree and records every resolvable column path, keyed by AST
-/// node address — so a cache is only valid while the statement it was
-/// prepared from is alive and unmoved. Unresolvable paths are simply left
-/// unbound: evaluation falls back to live resolution and reports the same
-/// diagnostic it always did.
+/// One expression compiled against a model and a source schema: everything
+/// that depends only on the statement and the model is resolved and checked
+/// here, so evaluating a case reads the case's prediction and source row and
+/// nothing else.
+struct BoundDmxExpr {
+  enum class Fn {
+    kLiteral,
+    kSourceColumn,
+    kPredict,  ///< Predict, PredictAssociation and a bare model column.
+    kPredictProbability,
+    kPredictSupport,
+    kPredictVariance,
+    kPredictStdev,
+    kPredictHistogram,
+    kTopCount,
+    kRangeMin,
+    kRangeMid,
+    kRangeMax,
+    kCluster,
+    kClusterProbability,
+  };
+  Fn fn = Fn::kLiteral;
+  /// The output column. A table-valued node gives every value it produces
+  /// `column.nested` as its schema.
+  ColumnDef column;
+  /// kLiteral: the value. PredictProbability/Support/Variance/Stdev: the
+  /// value whose histogram entry is read, when the call names one.
+  std::optional<Value> value;
+  int source_column = -1;                   ///< kSourceColumn.
+  const ModelColumn* target = nullptr;      ///< The model column read.
+  int attribute = -1;                       ///< RangeMin/Mid/Max.
+  size_t count = SIZE_MAX;                  ///< Rows kept of a table value.
+  size_t rank_column = 0;                   ///< TopCount: column ranked by.
+  std::unique_ptr<const BoundDmxExpr> table;  ///< TopCount: argument 0.
+};
+
+/// Per-statement bindings for prediction-join expressions, keyed by the
+/// address of each root expression (projection item or WHERE operand), so
+/// they are valid only while the statement they were prepared from is alive
+/// and unmoved. Evaluation uses only these: a root that was not prepared,
+/// or did not bind, fails with its bind error on every case.
 class DmxExprBindings {
  public:
-  struct BoundPath {
-    bool is_model = false;
-    int source_column = -1;        ///< When !is_model.
-    std::string model_column;      ///< When is_model: scalar or TABLE name.
-    /// When is_model: the histogram/nested-table schema for this column,
-    /// shared by every table value the statement produces.
-    std::shared_ptr<const Schema> histogram_schema;
-  };
-
+  /// Binds `expr` once; preparing the same root again changes nothing. A
+  /// bind error is kept, not returned: Find and ItemColumn report it.
   void Prepare(const DmxExpr& expr, const MiningModel& model,
                const Schema& source, const std::string& source_alias);
 
-  /// The binding for `expr`, or nullptr when it was not prepared (or did not
-  /// resolve at prepare time).
-  const BoundPath* Find(const DmxExpr& expr) const;
+  /// The bound tree for a prepared root, or the first error binding it.
+  Result<const BoundDmxExpr*> Find(const DmxExpr& expr) const;
+
+  /// The output column of a prepared root, named `alias` when that is not
+  /// empty, or the first error binding it.
+  Result<ColumnDef> ItemColumn(const DmxExpr& expr,
+                               const std::string& alias) const;
 
  private:
-  std::unordered_map<const DmxExpr*, BoundPath> paths_;
+  std::unordered_map<const DmxExpr*, Result<BoundDmxExpr>> roots_;
 };
 
 /// Evaluation context for one joined case.
@@ -66,22 +100,22 @@ struct PredictionRowContext {
   const MiningModel* model = nullptr;
   const CasePrediction* prediction = nullptr;
   const Row* source_row = nullptr;
+  /// The source the bindings were prepared against.
   const Schema* source_schema = nullptr;
   std::string source_alias;
-  /// Optional per-statement cache; evaluation works without one (tests,
-  /// ad-hoc calls) but then re-resolves paths on every call.
+  /// The statement's bindings; required.
   const DmxExprBindings* bindings = nullptr;
 };
 
-/// Static (schema-time) description of one projection item: its output
-/// column definition. Must stay consistent with EvaluateDmxExpr.
+/// The output column of one projection item: binds `expr` alone and
+/// returns its column or its bind error.
 Result<ColumnDef> InferDmxItemColumn(const DmxExpr& expr,
                                      const std::string& alias,
                                      const MiningModel& model,
                                      const Schema& source,
                                      const std::string& source_alias);
 
-/// Evaluates one projection expression for one joined case.
+/// Evaluates one prepared root expression for one joined case.
 Result<Value> EvaluateDmxExpr(const DmxExpr& expr,
                               const PredictionRowContext& ctx);
 

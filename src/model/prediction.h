@@ -7,6 +7,7 @@
 #ifndef DMX_MODEL_PREDICTION_H_
 #define DMX_MODEL_PREDICTION_H_
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -50,6 +51,22 @@ struct AttributePrediction {
   int cluster_id = -1;
 };
 
+/// Ranks `prediction`'s histogram by descending probability (stable: ties
+/// keep the service's order) and makes its top entry the prediction:
+/// `predicted`, `probability` and `support`. An empty histogram leaves the
+/// prediction as it is.
+inline void RankHistogram(AttributePrediction* prediction) {
+  std::vector<ScoredValue>& histogram = prediction->histogram;
+  std::stable_sort(histogram.begin(), histogram.end(),
+                   [](const ScoredValue& a, const ScoredValue& b) {
+                     return a.probability > b.probability;
+                   });
+  if (histogram.empty()) return;
+  prediction->predicted = histogram[0].value;
+  prediction->probability = histogram[0].probability;
+  prediction->support = histogram[0].support;
+}
+
 /// \brief All target predictions for one input case, keyed by the model
 /// column name ("Age") or nested table name ("Product Purchases").
 struct CasePrediction {
@@ -63,8 +80,6 @@ struct CasePrediction {
 
 /// Options a caller can pass down to TrainedModel::Predict.
 struct PredictOptions {
-  /// Cap on histogram length for set-valued targets (<=0: no cap).
-  int max_histogram = 0;
   /// Include states with zero posterior probability.
   bool include_zero_probability = false;
 };

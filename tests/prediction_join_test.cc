@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/provider.h"
 #include "datagen/warehouse.h"
 
@@ -56,6 +58,38 @@ class PredictionJoinTest : public ::testing::Test {
       (SHAPE {SELECT [Customer ID], [Gender] FROM Customers
               ORDER BY [Customer ID]}
        APPEND ({SELECT [CustID], [Product Name], [Product Type] FROM Sales
+                ORDER BY [CustID]}
+               RELATE [Customer ID] TO [CustID]) AS [Product Purchases]) AS t)";
+
+  // The same caseset with no cases: its master query selects nothing.
+  static constexpr const char* kEmptySource = R"(
+    NATURAL PREDICTION JOIN
+      (SHAPE {SELECT [Customer ID], [Gender] FROM Customers
+              WHERE [Customer ID] < 0 ORDER BY [Customer ID]}
+       APPEND ({SELECT [CustID], [Product Name], [Product Type] FROM Sales
+                ORDER BY [CustID]}
+               RELATE [Customer ID] TO [CustID]) AS [Product Purchases]) AS t)";
+
+  // An association model that predicts the [Product Purchases] table, and
+  // the caseset it is joined with.
+  void TrainRec() {
+    Must(R"(
+      CREATE MINING MODEL [Rec] (
+        [Customer ID] LONG KEY,
+        [Product Purchases] TABLE([Product Name] TEXT KEY) PREDICT
+      ) USING Association_Rules(MINIMUM_SUPPORT = 0.05,
+                                MINIMUM_PROBABILITY = 0.3))");
+    Must(R"(
+      INSERT INTO [Rec]
+      SHAPE {SELECT [Customer ID] FROM Customers ORDER BY [Customer ID]}
+      APPEND ({SELECT [CustID], [Product Name] FROM Sales ORDER BY [CustID]}
+              RELATE [Customer ID] TO [CustID]) AS [Product Purchases])");
+  }
+
+  static constexpr const char* kRecSource = R"(
+    NATURAL PREDICTION JOIN
+      (SHAPE {SELECT [Customer ID] FROM Customers ORDER BY [Customer ID]}
+       APPEND ({SELECT [CustID], [Product Name] FROM Sales
                 ORDER BY [CustID]}
                RELATE [Customer ID] TO [CustID]) AS [Product Purchases]) AS t)";
 
@@ -280,31 +314,112 @@ TEST_F(PredictionJoinTest, ClusterUdfsOnSegmentationModel) {
 }
 
 TEST_F(PredictionJoinTest, AssociationTablePrediction) {
-  Must(R"(
-    CREATE MINING MODEL [Rec] (
-      [Customer ID] LONG KEY,
-      [Product Purchases] TABLE([Product Name] TEXT KEY) PREDICT
-    ) USING Association_Rules(MINIMUM_SUPPORT = 0.05,
-                              MINIMUM_PROBABILITY = 0.3))");
-  Must(R"(
-    INSERT INTO [Rec]
-    SHAPE {SELECT [Customer ID] FROM Customers ORDER BY [Customer ID]}
-    APPEND ({SELECT [CustID], [Product Name] FROM Sales ORDER BY [CustID]}
-            RELATE [Customer ID] TO [CustID]) AS [Product Purchases])");
-  Rowset r = Must(R"(
+  TrainRec();
+  Rowset r = Must(std::string(R"(
     SELECT t.[Customer ID], Predict([Product Purchases], 3) AS R
-    FROM [Rec]
-    NATURAL PREDICTION JOIN
-      (SHAPE {SELECT [Customer ID] FROM Customers ORDER BY [Customer ID]}
-       APPEND ({SELECT [CustID], [Product Name] FROM Sales
-                ORDER BY [CustID]}
-               RELATE [Customer ID] TO [CustID]) AS [Product Purchases]) AS t)");
+    FROM [Rec])") + kRecSource);
   ASSERT_EQ(r.num_rows(), 400u);
   for (const Row& row : r.rows()) {
     ASSERT_TRUE(row[1].is_table());
     EXPECT_LE(row[1].table_value()->num_rows(), 3u);
     // The recommendation table is keyed by the nested KEY's name.
     EXPECT_EQ(row[1].table_value()->schema()->column(0).name, "Product Name");
+  }
+}
+
+// A form whose error depends only on the statement and the model fails when
+// it is bound, before any case is scored: as a projection item, as a WHERE
+// operand, and against a caseset with no cases, always the same way.
+TEST_F(PredictionJoinTest, BindErrorsFailBeforeAnyCase) {
+  struct BindErrorCase {
+    const char* form;
+    StatusCode code;
+    const char* message;
+  };
+  const BindErrorCase kCases[] = {
+      {"PredictHistogram()", StatusCode::kInvalidArgument,
+       "PredictHistogram takes exactly 1 argument"},
+      {"Predict()", StatusCode::kInvalidArgument,
+       "Predict takes 1 or 2 arguments"},
+      {"PredictProbability()", StatusCode::kInvalidArgument,
+       "PredictProbability takes 1 or 2 arguments"},
+      {"PredictProbability([Age], t.[Gender])", StatusCode::kInvalidArgument,
+       "second argument must be a literal value"},
+      {"Predict(t.[Gender])", StatusCode::kBindError, "is a source column"},
+      {"Predict([Age], 'x')", StatusCode::kInvalidArgument,
+       "count must be an integer literal"},
+      {"TopCount(PredictHistogram([Age]), [Nope], 2)", StatusCode::kBindError,
+       "unknown column 'Nope'"},
+      {"TopCount(PredictHistogram([Age]), $Probability, 'x')",
+       StatusCode::kInvalidArgument, "count must be an integer literal"},
+      {"TopCount(PredictHistogram([Age]), $Probability, -1)",
+       StatusCode::kInvalidArgument, "count must not be negative"},
+      {"TopCount(Predict([Age]), $Probability, 2)",
+       StatusCode::kInvalidArgument, "first argument is not a table"},
+      {"RangeMin([Gender])", StatusCode::kInvalidArgument,
+       "is not DISCRETIZED"},
+      {"Foo([Age])", StatusCode::kNotSupported, "unknown function 'Foo'"},
+      {"t.[Nope]", StatusCode::kBindError, "unknown column 'Nope'"},
+      {"$Probability", StatusCode::kBindError,
+       "only meaningful inside table functions"},
+  };
+  for (const BindErrorCase& c : kCases) {
+    const std::string statements[] = {
+        std::string("SELECT ") + c.form + " AS X FROM [M]" + kNaturalSource,
+        std::string("SELECT t.[Customer ID] FROM [M]") + kNaturalSource +
+            " WHERE " + c.form + " = 1",
+        std::string("SELECT ") + c.form + " AS X FROM [M]" + kEmptySource,
+    };
+    for (const std::string& statement : statements) {
+      SCOPED_TRACE(statement);
+      Status s = Fails(statement);
+      EXPECT_EQ(s.code(), c.code) << s.ToString();
+      EXPECT_NE(s.ToString().find(c.message), std::string::npos)
+          << s.ToString();
+    }
+  }
+}
+
+// Counts are validated once, at bind: negative fails, 0 yields an empty
+// table, and a count past the int range is not narrowed.
+TEST_F(PredictionJoinTest, CountArgumentsAreValidatedAtBind) {
+  TrainRec();
+  for (const char* function : {"Predict", "PredictAssociation"}) {
+    SCOPED_TRACE(function);
+    Rowset none = Must(std::string("SELECT ") + function +
+                       "([Product Purchases], 0) AS R FROM [Rec]" +
+                       kRecSource);
+    ASSERT_EQ(none.num_rows(), 400u);
+    for (const Row& row : none.rows()) {
+      EXPECT_EQ(row[0].table_value()->num_rows(), 0u);
+    }
+    Status negative = Fails(std::string("SELECT ") + function +
+                            "([Product Purchases], -1) AS R FROM [Rec]" +
+                            kRecSource);
+    EXPECT_EQ(negative.code(), StatusCode::kInvalidArgument)
+        << negative.ToString();
+    EXPECT_NE(negative.ToString().find("count must not be negative"),
+              std::string::npos)
+        << negative.ToString();
+  }
+  // 4294967297 is 2^32 + 1: narrowed to int it read as 1.
+  Rowset wide = Must(std::string(R"(
+    SELECT Predict([Product Purchases], 4294967297) AS R,
+           PredictHistogram([Product Purchases]) AS H
+    FROM [Rec])") + kRecSource);
+  size_t most = 0;
+  for (const Row& row : wide.rows()) {
+    EXPECT_EQ(row[0].table_value()->num_rows(),
+              row[1].table_value()->num_rows());
+    most = std::max(most, row[0].table_value()->num_rows());
+  }
+  EXPECT_GT(most, 1u);
+
+  Rowset top_none = Must(std::string(R"(
+    SELECT TopCount(PredictHistogram([Age]), $Probability, 0) AS H
+    FROM [M])") + kNaturalSource);
+  for (const Row& row : top_none.rows()) {
+    EXPECT_EQ(row[0].table_value()->num_rows(), 0u);
   }
 }
 

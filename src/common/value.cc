@@ -164,8 +164,17 @@ int Value::Compare(const Value& other) const {
       return static_cast<int>(bool_value()) - static_cast<int>(other.bool_value());
     case Kind::kLong:
     case Kind::kDouble: {
-      double a = AsDouble().ValueOr(0);
-      double b = other.AsDouble().ValueOr(0);
+      // Two LONGs compare exactly, past 2^53 too; a mixed pair compares as
+      // doubles, as Equals does.
+      if (is_long() && other.is_long()) {
+        const int64_t a = long_value();
+        const int64_t b = other.long_value();
+        return a < b ? -1 : (a > b ? 1 : 0);
+      }
+      const double a =
+          is_long() ? static_cast<double>(long_value()) : double_value();
+      const double b = other.is_long() ? static_cast<double>(other.long_value())
+                                       : other.double_value();
       if (a < b) return -1;
       if (a > b) return 1;
       return 0;

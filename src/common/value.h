@@ -87,7 +87,8 @@ class Value {
   bool Equals(const Value& other) const;
 
   /// Total order over scalar values used by ORDER BY and dictionaries:
-  /// NULL < bools < numbers < text; numbers compare across long/double.
+  /// NULL < bools < numbers < text. Two longs compare exactly; a long and a
+  /// double compare as doubles, as Equals does.
   /// Nested tables are ordered after text, by pointer, which is sufficient
   /// because no caller sorts on TABLE columns.
   int Compare(const Value& other) const;

@@ -1,6 +1,6 @@
 // Turning a DMX caseset source (SHAPE / SELECT / OPENROWSET) into a row
-// stream. INSERT INTO consumes the streaming form so incremental services
-// really see one case at a time; PREDICTION JOIN materializes.
+// stream. INSERT INTO and PREDICTION JOIN both consume the streaming form,
+// so services really see one case at a time.
 
 #ifndef DMX_CORE_CASESET_SOURCE_H_
 #define DMX_CORE_CASESET_SOURCE_H_

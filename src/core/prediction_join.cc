@@ -1,5 +1,8 @@
 #include "core/prediction_join.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/exec_guard.h"
 #include "core/case_binder.h"
 #include "core/caseset_source.h"
@@ -11,57 +14,40 @@ namespace dmx {
 namespace {
 
 // A PREDICTION JOIN WHERE comparison, bound once per statement.
-enum class FilterOp { kEq, kNe, kLt, kLe, kGt, kGe };
+using FilterOp = bool (*)(const Value& lhs, const Value& rhs);
+
+constexpr std::pair<const char*, FilterOp> kFilterOps[] = {
+    {"=", [](const Value& a, const Value& b) { return a.Equals(b); }},
+    {"<>", [](const Value& a, const Value& b) { return !a.Equals(b); }},
+    {"<", [](const Value& a, const Value& b) { return a.Compare(b) < 0; }},
+    {"<=", [](const Value& a, const Value& b) { return a.Compare(b) <= 0; }},
+    {">", [](const Value& a, const Value& b) { return a.Compare(b) > 0; }},
+    {">=", [](const Value& a, const Value& b) { return a.Compare(b) >= 0; }},
+};
 
 Result<FilterOp> BindFilterOp(const std::string& op) {
-  if (op == "=") return FilterOp::kEq;
-  if (op == "<>") return FilterOp::kNe;
-  if (op == "<") return FilterOp::kLt;
-  if (op == "<=") return FilterOp::kLe;
-  if (op == ">") return FilterOp::kGt;
-  if (op == ">=") return FilterOp::kGe;
+  for (const auto& [name, passes] : kFilterOps) {
+    if (op == name) return passes;
+  }
   return InvalidArgument() << "unknown comparison operator '" << op
                            << "' in PREDICTION JOIN WHERE";
-}
-
-bool FilterPasses(FilterOp op, const Value& lhs, const Value& rhs) {
-  switch (op) {
-    case FilterOp::kEq:
-      return lhs.Equals(rhs);
-    case FilterOp::kNe:
-      return !lhs.Equals(rhs);
-    case FilterOp::kLt:
-      return lhs.Compare(rhs) < 0;
-    case FilterOp::kLe:
-      return lhs.Compare(rhs) <= 0;
-    case FilterOp::kGt:
-      return lhs.Compare(rhs) > 0;
-    case FilterOp::kGe:
-      return lhs.Compare(rhs) >= 0;
-  }
-  return false;
 }
 
 // One flattening step: unnests the single TABLE column at `column`. Fails
 // (rather than silently dropping the row) when a nested table's arity does
 // not match the schema the outer column declares.
 Result<Rowset> FlattenOneColumn(const Rowset& input, size_t column) {
-  const Schema& schema = *input.schema();
-  const ColumnDef& table_col = schema.column(column);
-  std::vector<ColumnDef> columns;
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (c != column) {
-      columns.push_back(schema.column(c));
-      continue;
-    }
-    for (const ColumnDef& nested : table_col.nested->columns()) {
-      ColumnDef renamed = nested;
-      renamed.name = table_col.name + "." + nested.name;
-      columns.push_back(std::move(renamed));
-    }
+  const ColumnDef& table_col = input.schema()->column(column);
+  std::vector<ColumnDef> nested_columns = table_col.nested->columns();
+  for (ColumnDef& nested : nested_columns) {
+    nested.name = table_col.name + "." + nested.name;
   }
+  std::vector<ColumnDef> columns = input.schema()->columns();
+  columns.erase(columns.begin() + column);
+  columns.insert(columns.begin() + column, nested_columns.begin(),
+                 nested_columns.end());
   Rowset out(Schema::Make(std::move(columns)));
-  const size_t nested_width = table_col.nested->num_columns();
+  const size_t nested_width = nested_columns.size();
   // Stands in for an empty or NULL nested table.
   const std::vector<Row> null_padding(1, Row(nested_width, Value::Null()));
   for (const Row& row : input.rows()) {
@@ -76,13 +62,9 @@ Result<Rowset> FlattenOneColumn(const Rowset& input, size_t column) {
       DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(1));
       Row flat;
       flat.reserve(row.size() - 1 + nested_width);
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (c != column) {
-          flat.push_back(row[c]);
-        } else {
-          flat.insert(flat.end(), nested.begin(), nested.end());
-        }
-      }
+      flat.insert(flat.end(), row.begin(), row.begin() + column);
+      flat.insert(flat.end(), nested.begin(), nested.end());
+      flat.insert(flat.end(), row.begin() + column + 1, row.end());
       // The context is built only on failure: this runs once per output row.
       Status appended = out.Append(std::move(flat));
       if (!appended.ok()) {
@@ -102,21 +84,17 @@ Result<Rowset> FlattenRowset(const Rowset& input) {
   std::optional<Rowset> current;
   while (true) {
     const Rowset& in = current.has_value() ? *current : input;
-    int table_column = -1;
-    for (size_t c = 0; c < in.schema()->num_columns(); ++c) {
-      if (in.schema()->column(c).type == DataType::kTable &&
-          in.schema()->column(c).nested != nullptr) {
-        table_column = static_cast<int>(c);
-        break;
-      }
-    }
-    if (table_column < 0) {
+    const std::vector<ColumnDef>& columns = in.schema()->columns();
+    auto table = std::find_if(
+        columns.begin(), columns.end(), [](const ColumnDef& c) {
+          return c.type == DataType::kTable && c.nested != nullptr;
+        });
+    if (table == columns.end()) {
       if (current.has_value()) return std::move(*current);
       return input;
     }
-    DMX_ASSIGN_OR_RETURN(
-        Rowset next, FlattenOneColumn(in, static_cast<size_t>(table_column)));
-    current = std::move(next);
+    const size_t column = static_cast<size_t>(table - columns.begin());
+    DMX_ASSIGN_OR_RETURN(current, FlattenOneColumn(in, column));
   }
 }
 
@@ -125,9 +103,8 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
                                      const PredictionJoinStatement& stmt,
                                      std::optional<Rowset>* preloaded_source) {
   DMX_ASSIGN_OR_RETURN(MiningModel * model, catalog->GetModel(stmt.model_name));
-  // Semantic preflight: reject statements the binder would only fail on one
-  // Status at a time (no PREDICT column, unknown model paths, ...) with the
-  // full multi-diagnostic report.
+  // Semantic preflight: report every error the binder would only fail on one
+  // at a time (no PREDICT column, unknown model paths, ...).
   AnalyzerContext analyzer_context;
   analyzer_context.catalog = catalog;
   analyzer_context.database = &db;
@@ -137,66 +114,61 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
     return InvalidState() << "model '" << stmt.model_name
                           << "' has not been trained (INSERT INTO it first)";
   }
-  DMX_ASSIGN_OR_RETURN(
-      Rowset source,
-      MaterializeCasesetSource(db, stmt.source, preloaded_source));
-
+  // Cases stream from the source into one reused row, as training does.
+  DMX_ASSIGN_OR_RETURN(std::unique_ptr<RowsetReader> source,
+                       OpenCasesetSource(db, stmt.source, preloaded_source));
+  const Schema& source_schema = *source->schema();
   DMX_ASSIGN_OR_RETURN(
       CaseBinder binder,
-      CaseBinder::CreateForPrediction(model->definition(), *source.schema(),
+      CaseBinder::CreateForPrediction(model->definition(), source_schema,
                                       stmt.source_alias,
                                       stmt.natural ? nullptr : &stmt.on));
 
-  // Bind every projection item and WHERE operand once. The first bind error
-  // fails the statement before any case is scored, so it does not depend on
-  // whether the caseset has rows; the per-case loop below only evaluates.
+  // Bind every projection item and WHERE operand once: the first bind error
+  // fails the statement before any case is pulled, whether or not it has any.
   DmxExprBindings bindings;
   std::vector<ColumnDef> columns;
   columns.reserve(stmt.items.size());
   for (const DmxSelectItem& item : stmt.items) {
-    bindings.Prepare(item.expr, *model, *source.schema(), stmt.source_alias);
-    DMX_ASSIGN_OR_RETURN(ColumnDef def,
+    bindings.Prepare(item.expr, *model, source_schema, stmt.source_alias);
+    DMX_ASSIGN_OR_RETURN(columns.emplace_back(),
                          bindings.ItemColumn(item.expr, item.alias));
-    columns.push_back(std::move(def));
   }
   Rowset out(Schema::Make(std::move(columns)));
   std::vector<FilterOp> filter_ops;
   filter_ops.reserve(stmt.where.size());
   for (const DmxFilter& filter : stmt.where) {
     for (const DmxExpr* operand : {&filter.lhs, &filter.rhs}) {
-      bindings.Prepare(*operand, *model, *source.schema(), stmt.source_alias);
+      bindings.Prepare(*operand, *model, source_schema, stmt.source_alias);
       DMX_RETURN_IF_ERROR(bindings.Find(*operand).status());
     }
-    DMX_ASSIGN_OR_RETURN(FilterOp op, BindFilterOp(filter.op));
-    filter_ops.push_back(op);
+    DMX_ASSIGN_OR_RETURN(filter_ops.emplace_back(), BindFilterOp(filter.op));
   }
-  PredictOptions options;
+  Row source_row;
   PredictionRowContext ctx;
   ctx.model = model;
-  ctx.source_schema = source.schema().get();
-  ctx.source_alias = stmt.source_alias;
+  ctx.source_row = &source_row;
   ctx.bindings = &bindings;
-
-  size_t limit = stmt.top.has_value() ? static_cast<size_t>(*stmt.top)
-                                      : source.num_rows();
+  // TOP n stops pulling cases once n rows are out.
+  const size_t limit =
+      stmt.top.has_value() ? static_cast<size_t>(*stmt.top) : SIZE_MAX;
   DataCase input;
   // dmx-hot-begin(prediction-scoring)
-  for (size_t r = 0; r < source.num_rows() && out.num_rows() < limit; ++r) {
+  while (out.num_rows() < limit) {
     DMX_RETURN_IF_ERROR(GuardCheck());
-    const Row& source_row = source.rows()[r];
+    DMX_ASSIGN_OR_RETURN(bool more, source->Next(&source_row));
+    if (!more) break;
     DMX_RETURN_IF_ERROR(
         binder.BindCaseInto(source_row, model->attributes(), &input));
     DMX_ASSIGN_OR_RETURN(CasePrediction prediction,
-                         model->Predict(input, options));
+                         model->Predict(input, PredictOptions()));
     ctx.prediction = &prediction;
-    ctx.source_row = &source_row;
     // WHERE: every conjunct must hold (NULL comparisons are false).
     bool keep = true;
     for (size_t f = 0; f < stmt.where.size() && keep; ++f) {
       DMX_ASSIGN_OR_RETURN(Value lhs, EvaluateDmxExpr(stmt.where[f].lhs, ctx));
       DMX_ASSIGN_OR_RETURN(Value rhs, EvaluateDmxExpr(stmt.where[f].rhs, ctx));
-      keep = !lhs.is_null() && !rhs.is_null() &&
-             FilterPasses(filter_ops[f], lhs, rhs);
+      keep = !lhs.is_null() && !rhs.is_null() && filter_ops[f](lhs, rhs);
     }
     if (!keep) continue;
     // Each output row is moved into the result, so its buffer cannot be

@@ -143,6 +143,16 @@ std::shared_ptr<const Schema> HistogramSchema(const ModelColumn& spec) {
                        {"$STDEV", DataType::kDouble}});
 }
 
+// Only a PREDICT column has a prediction to read, and that depends on the
+// model alone, so it is checked once, at bind.
+Status CheckPredicted(const ModelColumn& column, const BindScope& scope) {
+  if (column.is_output()) return Status::OK();
+  return BindError() << "column '" << column.name
+                     << "' is not predicted by model '"
+                     << scope.model.definition().model_name
+                     << "' (is it marked PREDICT?)";
+}
+
 DataType LiteralType(const Value& literal) {
   if (literal.is_long()) return DataType::kLong;
   if (literal.is_double()) return DataType::kDouble;
@@ -218,6 +228,9 @@ Result<BoundDmxExpr> BindFunction(const DmxExpr& expr,
       return BindTopCount(expr, scope);
     case Fn::kCluster:
     case Fn::kClusterProbability: {
+      if (!scope.model.service().capabilities().is_segmentation) {
+        return InvalidState() << udf->name << " requires a segmentation model";
+      }
       BoundDmxExpr out;
       out.fn = udf->fn;
       out.column.type =
@@ -267,6 +280,7 @@ Result<BoundDmxExpr> BindFunction(const DmxExpr& expr,
     default:
       break;
   }
+  DMX_RETURN_IF_ERROR(CheckPredicted(*target, scope));
   return out;
 }
 
@@ -286,6 +300,7 @@ Result<BoundDmxExpr> Bind(const DmxExpr& expr, const BindScope& scope) {
       if (target.model_column != nullptr) {
         // A bare model column reference means its prediction (the paper's
         // "SELECT ..., [Age Prediction].[Age] FROM ... PREDICTION JOIN").
+        DMX_RETURN_IF_ERROR(CheckPredicted(*target.model_column, scope));
         return BindModelCall(Fn::kPredict, *target.model_column);
       }
       BoundDmxExpr out;

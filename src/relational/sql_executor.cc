@@ -355,6 +355,19 @@ Result<Rowset> ExecuteAggregation(const SelectStatement& stmt,
   return out;
 }
 
+// Appends `expr`'s value for `row` to `out`. A bound column reference copies
+// its cell straight from the row, with no Result round trip.
+Status EvalInto(const Expr& expr, const Row& row, std::vector<Value>* out) {
+  if (expr.kind == ExprKind::kColumnRef && expr.bound_index >= 0 &&
+      static_cast<size_t>(expr.bound_index) < row.size()) {
+    out->push_back(row[static_cast<size_t>(expr.bound_index)]);
+    return Status::OK();
+  }
+  DMX_ASSIGN_OR_RETURN(Value value, EvalExpr(expr, row));
+  out->push_back(std::move(value));
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
@@ -580,8 +593,7 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
       if ((i & 255) == 0) DMX_RETURN_IF_ERROR(GuardCheck());
       const Row& row = (*working)[use_selection ? selection[i] : i];
       for (const OrderItem& item : order_by) {
-        DMX_ASSIGN_OR_RETURN(Value key, EvalExpr(*item.expr, row));
-        keys.push_back(std::move(key));
+        DMX_RETURN_IF_ERROR(EvalInto(*item.expr, row, &keys));
       }
     }
     // dmx-hot-end(sql-order-keys)
@@ -655,8 +667,7 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
     Row out;  // dmx-lint: allow(hot-loop-alloc)
     out.reserve(projections.size());
     for (const ExprPtr& p : projections) {
-      DMX_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
-      out.push_back(std::move(v));
+      DMX_RETURN_IF_ERROR(EvalInto(*p, row, &out));
     }
     DMX_RETURN_IF_ERROR(result.Append(std::move(out)));
   }

@@ -1,16 +1,11 @@
 // Execution of SHAPE statements: builds hierarchical rowsets (casesets) from
-// flat query results, either fully materialized or streamed case-at-a-time.
-//
-// The streaming reader is the paper's §3.1 consumption model: "data mining
-// algorithms are designed so that they consume an entity instance at a time".
-// Only one case is resident in the mining layer at any moment; the child rows
-// are indexed (not copied) until a case is emitted.
+// flat query results, either fully materialized or streamed case-at-a-time:
+// the paper's §3.1 "consume an entity instance at a time".
 
 #ifndef DMX_SHAPE_SHAPE_EXECUTOR_H_
 #define DMX_SHAPE_SHAPE_EXECUTOR_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rowset.h"
@@ -26,11 +21,13 @@ Result<Rowset> ExecuteShape(const rel::Database& db, const ShapeStatement& stmt)
 
 /// \brief Case-at-a-time reader over a SHAPE statement.
 ///
-/// Child rowsets are executed once and indexed by relate key; each Next()
-/// materializes exactly one hierarchical case.
+/// Each child row is moved once, into the nested table of its relate key;
+/// a table keeps the child SELECT's row order. Master rows with equal keys
+/// share one table, and master rows without children share one empty table.
+/// No nested row is copied per case; Next() moves the master row's cells.
 class ShapedCaseReader : public RowsetReader {
  public:
-  /// Runs the embedded queries and builds the key indexes.
+  /// Runs the embedded queries and groups each child rowset.
   static Result<std::unique_ptr<ShapedCaseReader>> Create(
       const rel::Database& db, const ShapeStatement& stmt);
 
@@ -41,20 +38,17 @@ class ShapedCaseReader : public RowsetReader {
   Result<bool> Next(Row* row) override;
 
  private:
-  struct ChildIndex {
-    Rowset rowset;
-    std::shared_ptr<const Schema> nested_schema;
-    std::vector<size_t> child_key_columns;
-    std::vector<size_t> parent_key_columns;
-    // Key hash -> indices of child rows with that key (verified on probe).
-    std::unordered_multimap<size_t, size_t> by_key;
+  // One APPEND: its nested tables and, per master row, which one it gets.
+  struct ChildTables {
+    std::vector<std::shared_ptr<const NestedTable>> tables;
+    std::vector<size_t> case_table;
   };
 
   ShapedCaseReader() = default;
 
   std::shared_ptr<const Schema> schema_;
   Rowset master_;
-  std::vector<ChildIndex> children_;
+  std::vector<ChildTables> children_;
   size_t pos_ = 0;
 };
 

@@ -362,6 +362,18 @@ TEST_F(PredictionJoinTest, BindErrorsFailBeforeAnyCase) {
       {"t.[Nope]", StatusCode::kBindError, "unknown column 'Nope'"},
       {"$Probability", StatusCode::kBindError,
        "only meaningful inside table functions"},
+      // Both depend on the model alone: [Gender] is an input of [M], and
+      // Naive Bayes is not a segmentation service.
+      {"Predict([Gender])", StatusCode::kBindError,
+       "column 'Gender' is not predicted by model 'M'"},
+      {"PredictProbability([Gender], 'Male')", StatusCode::kBindError,
+       "column 'Gender' is not predicted by model 'M'"},
+      {"[M].[Gender]", StatusCode::kBindError,
+       "column 'Gender' is not predicted by model 'M'"},
+      {"Cluster()", StatusCode::kInvalidState,
+       "Cluster requires a segmentation model"},
+      {"ClusterProbability()", StatusCode::kInvalidState,
+       "ClusterProbability requires a segmentation model"},
   };
   for (const BindErrorCase& c : kCases) {
     const std::string statements[] = {

@@ -133,6 +133,114 @@ TEST_F(ShapeTest, StreamingReaderMatchesMaterializedExecution) {
   EXPECT_EQ(i, materialized->num_rows());
 }
 
+// Nested rows: their order, sharing, multi-column keys and NULL keys.
+class ShapeNestingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Must("CREATE TABLE P (Id LONG, Tag TEXT)");
+    Must("INSERT INTO P VALUES (1, 'a'), (2, 'b'), (1, 'c'), (NULL, 'd')");
+    Must("CREATE TABLE C (Pid LONG, Seq LONG)");
+    Must(R"(INSERT INTO C VALUES
+        (1, 10), (1, 30), (NULL, 5), (1, 20), (7, 99), (NULL, 6))");
+  }
+
+  void Must(const std::string& sql) {
+    auto result = rel::ExecuteSql(&db_, sql);
+    ASSERT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+  }
+
+  Rowset Shape(const std::string& text) {
+    auto stmt = ParseShape(text);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    if (!stmt.ok()) return Rowset();
+    auto caseset = ExecuteShape(db_, *stmt);
+    EXPECT_TRUE(caseset.ok()) << caseset.status().ToString();
+    return caseset.ok() ? std::move(caseset).value() : Rowset();
+  }
+
+  // Column `col` of every nested row of `cell`, as longs.
+  static std::vector<int64_t> Nested(const Value& cell, size_t col) {
+    std::vector<int64_t> out;
+    for (const Row& row : cell.table_value()->rows()) {
+      out.push_back(row[col].long_value());
+    }
+    return out;
+  }
+
+  rel::Database db_;
+};
+
+using Longs = std::vector<int64_t>;
+
+TEST_F(ShapeNestingTest, NestedRowsKeepTheChildSelectOrder) {
+  Rowset asc = Shape(R"(SHAPE {SELECT [Id] FROM P}
+      APPEND ({SELECT [Pid], [Seq] FROM C ORDER BY [Seq]}
+              RELATE [Id] TO [Pid]) AS [Kids])");
+  ASSERT_EQ(asc.num_rows(), 4u);
+  EXPECT_EQ(Nested(asc.at(0, 1), 1), (Longs{10, 20, 30}));
+  Rowset desc = Shape(R"(SHAPE {SELECT [Id] FROM P}
+      APPEND ({SELECT [Pid], [Seq] FROM C ORDER BY [Seq] DESC}
+              RELATE [Id] TO [Pid]) AS [Kids])");
+  ASSERT_EQ(desc.num_rows(), 4u);
+  EXPECT_EQ(Nested(desc.at(0, 1), 1), (Longs{30, 20, 10}));
+  // Without ORDER BY the child SELECT returns stored order, and so do the
+  // nested rows.
+  Rowset stored = Shape(R"(SHAPE {SELECT [Id] FROM P}
+      APPEND ({SELECT [Pid], [Seq] FROM C} RELATE [Id] TO [Pid]) AS [Kids])");
+  ASSERT_EQ(stored.num_rows(), 4u);
+  EXPECT_EQ(Nested(stored.at(0, 1), 1), (Longs{10, 30, 20}));
+}
+
+TEST_F(ShapeNestingTest, ParentWithoutChildrenGetsAnEmptyTable) {
+  Rowset r = Shape(R"(SHAPE {SELECT [Id], [Tag] FROM P}
+      APPEND ({SELECT [Pid], [Seq] FROM C} RELATE [Id] TO [Pid]) AS [Kids])");
+  ASSERT_EQ(r.num_rows(), 4u);
+  ASSERT_TRUE(r.at(1, 2).is_table());
+  EXPECT_EQ(r.at(1, 2).table_value()->num_rows(), 0u);
+  EXPECT_TRUE(r.at(1, 2).table_value()->schema()->Equals(
+      *r.schema()->column(2).nested));
+  // Child 7 relates to no parent and appears nowhere.
+  for (const Row& row : r.rows()) {
+    for (int64_t seq : Nested(row[2], 1)) EXPECT_NE(seq, 99);
+  }
+}
+
+TEST_F(ShapeNestingTest, DuplicateParentKeysShareOneTable) {
+  Rowset r = Shape(R"(SHAPE {SELECT [Id], [Tag] FROM P}
+      APPEND ({SELECT [Pid], [Seq] FROM C ORDER BY [Seq]}
+              RELATE [Id] TO [Pid]) AS [Kids])");
+  ASSERT_EQ(r.num_rows(), 4u);
+  EXPECT_EQ(r.at(0, 1).text_value(), "a");
+  EXPECT_EQ(r.at(2, 1).text_value(), "c");
+  EXPECT_EQ(r.at(0, 2).table_value(), r.at(2, 2).table_value());
+  EXPECT_EQ(Nested(r.at(2, 2), 1), (Longs{10, 20, 30}));
+}
+
+TEST_F(ShapeNestingTest, TwoColumnRelate) {
+  Must("CREATE TABLE Q (A LONG, B TEXT)");
+  Must("INSERT INTO Q VALUES (1, 'x'), (1, 'y'), (2, 'x')");
+  Must("CREATE TABLE D (A2 LONG, B2 TEXT, V LONG)");
+  Must(R"(INSERT INTO D VALUES
+      (1, 'y', 1), (1, 'x', 2), (2, 'y', 3), (1, 'y', 4), (2, 'x', 5))");
+  Rowset r = Shape(R"(SHAPE {SELECT [A], [B] FROM Q}
+      APPEND ({SELECT [A2], [B2], [V] FROM D}
+              RELATE [A] TO [A2], [B] TO [B2]) AS [Ds])");
+  ASSERT_EQ(r.num_rows(), 3u);
+  EXPECT_EQ(Nested(r.at(0, 2), 2), (Longs{2}));
+  EXPECT_EQ(Nested(r.at(1, 2), 2), (Longs{1, 4}));
+  EXPECT_EQ(Nested(r.at(2, 2), 2), (Longs{5}));
+}
+
+// A NULL relate key matches NULL child keys (Value::Equals), as it always
+// has.
+TEST_F(ShapeNestingTest, NullKeysMatchEachOther) {
+  Rowset r = Shape(R"(SHAPE {SELECT [Id], [Tag] FROM P}
+      APPEND ({SELECT [Pid], [Seq] FROM C} RELATE [Id] TO [Pid]) AS [Kids])");
+  ASSERT_EQ(r.num_rows(), 4u);
+  EXPECT_TRUE(r.at(3, 0).is_null());
+  EXPECT_EQ(Nested(r.at(3, 2), 1), (Longs{5, 6}));
+}
+
 // Property suite over warehouse sizes: shaping conserves child rows and only
 // attaches children whose key matches the parent.
 class ShapeInvariants : public ::testing::TestWithParam<int> {};

@@ -209,6 +209,31 @@ TEST_F(OrderByTest, AlreadySortedAndReverseSortedInput) {
             (Longs{5, 4, 3, 2, 1}));
 }
 
+// LONG keys past 2^53, where neighbours share one double, sort exactly.
+TEST_F(OrderByTest, LongKeysPast2To53SortExactly) {
+  Must("CREATE TABLE B (K LONG)");
+  Must("INSERT INTO B VALUES (9007199254740993), (9007199254740992)");
+  EXPECT_EQ(Column0("SELECT [K] FROM B ORDER BY [K]"),
+            (Longs{9007199254740992, 9007199254740993}));
+  EXPECT_EQ(Column0("SELECT [K] FROM B ORDER BY [K] DESC"),
+            (Longs{9007199254740993, 9007199254740992}));
+}
+
+// A LONG compared with a DOUBLE compares as doubles, matching equality.
+TEST_F(OrderByTest, MixedLongAndDoubleCompareAsDoubles) {
+  Must("CREATE TABLE Mixed (K LONG, D DOUBLE)");
+  Must("INSERT INTO Mixed VALUES (3, 2.5), (1, 3.0), (2, 0.5)");
+  EXPECT_EQ(Column0("SELECT K FROM Mixed ORDER BY D"), (Longs{2, 3, 1}));
+  EXPECT_EQ(Column0("SELECT K FROM Mixed WHERE K < D ORDER BY K"),
+            (Longs{1}));
+  EXPECT_EQ(Column0("SELECT K FROM Mixed WHERE K = D ORDER BY K"), Longs{});
+  Must("INSERT INTO Mixed VALUES (9007199254740993, 9007199254740992.0)");
+  EXPECT_EQ(Column0("SELECT K FROM Mixed WHERE K >= D ORDER BY K DESC"),
+            (Longs{9007199254740993, 3, 2}));
+  EXPECT_EQ(Column0("SELECT K FROM Mixed WHERE K <= D ORDER BY K DESC"),
+            (Longs{9007199254740993, 1}));
+}
+
 TEST_F(OrderByTest, FailingSortKeyFailsTheStatement) {
   // Arithmetic on a TEXT column fails in the evaluator; the ORDER BY must
   // surface that very status rather than sort on a partial key.

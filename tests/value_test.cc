@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/nested_table.h"
 #include "common/rowset.h"
 
@@ -60,6 +63,40 @@ TEST(ValueTest, TotalOrder) {
   EXPECT_EQ(Value::Long(2).Compare(Value::Double(2.0)), 0);
   EXPECT_GT(Value::Text("b").Compare(Value::Text("a")), 0);
   EXPECT_EQ(Value::Null().Compare(Value::Null()), 0);
+}
+
+TEST(ValueTest, LongsCompareExactly) {
+  // 2^53 and 2^53 + 1 are one double apart from nothing: as doubles they tie.
+  const int64_t big = int64_t{1} << 53;
+  EXPECT_LT(Value::Long(big).Compare(Value::Long(big + 1)), 0);
+  EXPECT_GT(Value::Long(big + 1).Compare(Value::Long(big)), 0);
+  EXPECT_EQ(Value::Long(big + 1).Compare(Value::Long(big + 1)), 0);
+  EXPECT_LT(Value::Long(INT64_MIN).Compare(Value::Long(INT64_MAX)), 0);
+  EXPECT_LT(Value::Double(-0.5).Compare(Value::Double(0.25)), 0);
+  EXPECT_EQ(Value::Double(0.25).Compare(Value::Double(0.25)), 0);
+  // A mixed pair compares as doubles, agreeing with Equals.
+  const Value as_double = Value::Double(static_cast<double>(big));
+  EXPECT_EQ(Value::Long(big + 1).Compare(as_double), 0);
+  EXPECT_TRUE(Value::Long(big + 1).Equals(as_double));
+  EXPECT_GT(Value::Double(2.5).Compare(Value::Long(2)), 0);
+}
+
+TEST(ValueTest, MixedNumericColumnSorts) {
+  std::vector<Value> column = {Value::Long(3), Value::Double(2.5),
+                               Value::Long(-1), Value::Double(3.0),
+                               Value::Long(2), Value::Double(-7.25)};
+  std::stable_sort(column.begin(), column.end(),
+                   [](const Value& a, const Value& b) {
+                     return a.Compare(b) < 0;
+                   });
+  const std::vector<Value> expected = {
+      Value::Double(-7.25), Value::Long(-1),  Value::Long(2),
+      Value::Double(2.5),   Value::Long(3), Value::Double(3.0)};
+  ASSERT_EQ(column.size(), expected.size());
+  for (size_t i = 0; i < column.size(); ++i) {
+    EXPECT_EQ(column[i].kind(), expected[i].kind()) << i;
+    EXPECT_TRUE(column[i].Equals(expected[i])) << i;
+  }
 }
 
 TEST(ValueTest, ToStringForms) {

@@ -60,12 +60,13 @@ std::string AssociationModel::ItemName(const AttributeSet& attrs,
   return attr.name + " = '" + attr.StateName(item.state) + "'";
 }
 
-Result<CasePrediction> AssociationModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& /*options*/) const {
+Status AssociationModel::PredictInto(const AttributeSet& attrs,
+                                     const DataCase& input,
+                                     const PredictOptions& options,
+                                     CasePrediction* out) const {
   // dmx-hot-begin(ar-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
+  out->Clear();
   // Intern the case's items (only ones the model has seen matter).
   std::unordered_map<Item, int, ItemHash> lookup;
   for (size_t id = 0; id < items_.size(); ++id) lookup.emplace(items_[id], id);
@@ -97,9 +98,15 @@ Result<CasePrediction> AssociationModel::Predict(
   // Rank candidate items for every output group. `best_rule` maps item id to
   // the best applicable rule and is reused across groups.
   std::unordered_map<int, const Rule*> best_rule;
+  // Every candidate of a group, in the order they are found; only the
+  // ranked ones are copied into the prediction.
+  std::vector<ScoredValue> candidates;
+  HistogramRanker& ranker = out->scratch().ranker;
   for (size_t g = 0; g < attrs.groups.size(); ++g) {
     const NestedGroup& group = attrs.groups[g];
     if (!group.is_output) continue;
+    const size_t depth = options.GroupDepth(static_cast<int>(g));
+    if (depth == 0) continue;
     best_rule.clear();
     for (const Rule& rule : rules_) {
       const Item& target = items_[rule.consequent];
@@ -114,8 +121,8 @@ Result<CasePrediction> AssociationModel::Predict(
         it->second = &rule;
       }
     }
-    AttributePrediction prediction;
-    prediction.histogram.reserve(best_rule.size());
+    candidates.clear();
+    candidates.reserve(best_rule.size());
     for (const auto& [item_id, rule] : best_rule) {
       ScoredValue sv;
       const Item& item = items_[item_id];
@@ -123,7 +130,7 @@ Result<CasePrediction> AssociationModel::Predict(
       sv.state = item.state;
       sv.probability = rule->confidence;
       sv.support = rule->support;
-      prediction.histogram.push_back(std::move(sv));
+      candidates.push_back(std::move(sv));
     }
     // Popularity fallback so every case gets recommendations: frequent
     // singleton items of this group, scored by their marginal probability
@@ -143,14 +150,24 @@ Result<CasePrediction> AssociationModel::Predict(
         sv.state = item.state;
         sv.probability = 0.01 * itemset.support / case_count_;
         sv.support = itemset.support;
-        prediction.histogram.push_back(std::move(sv));
+        candidates.push_back(std::move(sv));
       }
     }
-    RankHistogram(&prediction);
-    out.targets.emplace(group.name, std::move(prediction));
+    ranker.Start(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      ranker.Add(candidates[i].probability, static_cast<int>(i));
+    }
+    const size_t kept = ranker.Rank(depth);
+    AttributePrediction* prediction = out->Add(group.name);
+    prediction->histogram.reserve(kept);
+    for (size_t r = 0; r < kept; ++r) {
+      prediction->histogram.push_back(
+          std::move(candidates[static_cast<size_t>(ranker.id(r))]));
+    }
+    prediction->TakeTop();
   }
   // dmx-hot-end(ar-predict)
-  return out;
+  return Status::OK();
 }
 
 Result<ContentNodePtr> AssociationModel::BuildContent(

@@ -61,9 +61,9 @@ class AssociationModel : public TrainedModel {
   const std::string& service_name() const override;
   double case_count() const override { return case_count_; }
 
-  Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input,
-                                 const PredictOptions& options) const override;
+  Status PredictInto(const AttributeSet& attrs, const DataCase& input,
+                     const PredictOptions& options,
+                     CasePrediction* out) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 

@@ -93,11 +93,12 @@ const std::string& ClusteringModel::service_name() const {
   return kServiceName;
 }
 
-std::vector<double> ClusteringModel::Responsibilities(const AttributeSet& attrs,
-                                                      const DataCase& c,
-                                                      bool use_outputs) const {
+void ClusteringModel::Responsibilities(const AttributeSet& attrs,
+                                       const DataCase& c, bool use_outputs,
+                                       std::vector<double>* out) const {
   const size_t k = clusters_.size();
-  std::vector<double> log_post(k);
+  std::vector<double>& log_post = *out;
+  log_post.assign(k, 0.0);
   double total_weight = 0;
   for (const ClusterStats& cluster : clusters_) total_weight += cluster.weight;
   for (size_t i = 0; i < k; ++i) {
@@ -116,43 +117,56 @@ std::vector<double> ClusteringModel::Responsibilities(const AttributeSet& attrs,
   if (norm > 0) {
     for (double& lp : log_post) lp /= norm;
   }
-  return log_post;
 }
 
-Result<CasePrediction> ClusteringModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
+Status ClusteringModel::PredictInto(const AttributeSet& attrs,
+                                    const DataCase& input,
+                                    const PredictOptions& options,
+                                    CasePrediction* out) const {
   // dmx-hot-begin(clu-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
-  std::vector<double> resp = Responsibilities(attrs, input,
-                                              /*use_outputs=*/false);
+  out->Clear();
+  // Responsibilities and the per-state scratch are reused across targets
+  // and cases; assign() resizes without shrinking.
+  PredictScratch& scratch = out->scratch();
+  std::vector<double>& resp = scratch.reals[0];
+  std::vector<double>& probs = scratch.reals[1];
+  std::vector<double>& supports = scratch.reals[2];
+  HistogramRanker& ranker = scratch.ranker;
+  Responsibilities(attrs, input, /*use_outputs=*/false, &resp);
 
   // Cluster membership pseudo-target.
-  AttributePrediction membership;
-  membership.histogram.reserve(clusters_.size());
-  for (size_t i = 0; i < clusters_.size(); ++i) {
-    ScoredValue sv;
-    sv.value = cluster_names_[i];
-    sv.state = static_cast<int>(i);
-    sv.probability = resp[i];
-    sv.support = clusters_[i].weight;
-    membership.histogram.push_back(std::move(sv));
+  if (const size_t depth = options.ClusterDepth(); depth > 0) {
+    AttributePrediction* membership = out->Add(kClusterTarget);
+    ranker.Start(clusters_.size());
+    for (size_t i = 0; i < clusters_.size(); ++i) {
+      ranker.Add(resp[i], static_cast<int>(i));
+    }
+    const size_t kept = ranker.Rank(depth);
+    membership->histogram.reserve(kept);
+    for (size_t r = 0; r < kept; ++r) {
+      const size_t i = static_cast<size_t>(ranker.id(r));
+      ScoredValue& sv = membership->histogram.emplace_back();
+      sv.value = cluster_names_[i];
+      sv.state = static_cast<int>(i);
+      sv.probability = resp[i];
+      sv.support = clusters_[i].weight;
+    }
+    membership->TakeTop();
+    if (!resp.empty()) {
+      membership->cluster_id = static_cast<int>(
+          std::max_element(resp.begin(), resp.end()) - resp.begin());
+    }
   }
-  RankHistogram(&membership);
-  if (!membership.histogram.empty()) {
-    membership.cluster_id = static_cast<int>(
-        std::max_element(resp.begin(), resp.end()) - resp.begin());
-  }
-  out.targets.emplace(kClusterTarget, std::move(membership));
 
-  // Mixture-posterior predictions for PREDICT columns. The per-state scratch
-  // is shared across targets; assign() resizes without shrinking.
-  std::vector<double> probs;
-  std::vector<double> supports;
-  for (int target : attrs.OutputAttributeIndices()) {
-    const Attribute& attr = attrs.attributes[static_cast<size_t>(target)];
-    AttributePrediction prediction;
+  // Mixture-posterior predictions for PREDICT columns.
+  for (size_t a = 0; a < attrs.attributes.size(); ++a) {
+    const Attribute& attr = attrs.attributes[a];
+    if (!attr.is_output) continue;
+    const int target = static_cast<int>(a);
+    const size_t depth = options.AttributeDepth(target);
+    if (depth == 0) continue;
+    AttributePrediction* prediction = out->Add(attr.name);
     if (attr.is_continuous) {
       double mean = 0;
       double second_moment = 0;
@@ -165,16 +179,16 @@ Result<CasePrediction> ClusteringModel::Predict(
                                     it->second.mean * it->second.mean);
         support += resp[i] * it->second.weight;
       }
-      prediction.predicted = Value::Double(mean);
-      prediction.probability = 1.0;
-      prediction.variance = std::max(0.0, second_moment - mean * mean);
-      prediction.support = support;
-      ScoredValue sv;
-      sv.value = prediction.predicted;
+      prediction->predicted = Value::Double(mean);
+      prediction->probability = 1.0;
+      prediction->variance = std::max(0.0, second_moment - mean * mean);
+      prediction->support = support;
+      prediction->histogram.reserve(1);
+      ScoredValue& sv = prediction->histogram.emplace_back();
+      sv.value = prediction->predicted;
       sv.probability = 1.0;
       sv.support = support;
-      sv.variance = prediction.variance;
-      prediction.histogram.push_back(std::move(sv));
+      sv.variance = prediction->variance;
     } else {
       int card = std::max(1, attr.cardinality());
       probs.assign(card, 0.0);
@@ -192,21 +206,26 @@ Result<CasePrediction> ClusteringModel::Predict(
           supports[state] += resp[i] * count;
         }
       }
+      ranker.Start(static_cast<size_t>(card));
       for (int state = 0; state < card; ++state) {
         if (probs[state] <= 0 && !options.include_zero_probability) continue;
-        ScoredValue sv;
+        ranker.Add(probs[state], state);
+      }
+      const size_t kept = ranker.Rank(depth);
+      prediction->histogram.reserve(kept);
+      for (size_t r = 0; r < kept; ++r) {
+        const int state = ranker.id(r);
+        ScoredValue& sv = prediction->histogram.emplace_back();
         sv.value = attr.StateValue(state);
         sv.state = state;
         sv.probability = probs[state];
         sv.support = supports[state];
-        prediction.histogram.push_back(std::move(sv));
       }
-      RankHistogram(&prediction);
+      prediction->TakeTop();
     }
-    out.targets.emplace(attr.name, std::move(prediction));
   }
   // dmx-hot-end(clu-predict)
-  return out;
+  return Status::OK();
 }
 
 Result<ContentNodePtr> ClusteringModel::BuildContent(

@@ -21,10 +21,6 @@
 
 namespace dmx {
 
-/// Pseudo-target name under which cluster membership predictions are filed
-/// in a CasePrediction (read by the Cluster* UDFs).
-inline constexpr const char* kClusterTarget = "$CLUSTER";
-
 /// \brief Trained mixture model.
 class ClusteringModel : public TrainedModel {
  public:
@@ -47,16 +43,16 @@ class ClusteringModel : public TrainedModel {
   const std::string& service_name() const override;
   double case_count() const override { return case_count_; }
 
-  Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input,
-                                 const PredictOptions& options) const override;
+  Status PredictInto(const AttributeSet& attrs, const DataCase& input,
+                     const PredictOptions& options,
+                     CasePrediction* out) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 
-  /// Posterior P(cluster | case) over non-missing *input* attributes.
-  std::vector<double> Responsibilities(const AttributeSet& attrs,
-                                       const DataCase& c,
-                                       bool use_outputs) const;
+  /// Posterior P(cluster | case) over non-missing *input* attributes, into
+  /// `out` (resized to the cluster count).
+  void Responsibilities(const AttributeSet& attrs, const DataCase& c,
+                        bool use_outputs, std::vector<double>* out) const;
 
   const std::vector<ClusterStats>& clusters() const { return clusters_; }
   std::vector<ClusterStats>& mutable_clusters() { return clusters_; }

@@ -385,19 +385,20 @@ const std::string& DecisionTreeModel::service_name() const {
   return kServiceName;
 }
 
-Result<CasePrediction> DecisionTreeModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
-  CasePrediction out;
+Status DecisionTreeModel::PredictInto(const AttributeSet& attrs,
+                                      const DataCase& input,
+                                      const PredictOptions& options,
+                                      CasePrediction* out) const {
+  out->Clear();
+  HistogramRanker& ranker = out->scratch().ranker;
   // dmx-hot-begin(dt-predict)
   for (const TargetTree& tree : trees_) {
     DMX_RETURN_IF_ERROR(GuardCheck());
+    const size_t depth = options.AttributeDepth(tree.target);
+    if (depth == 0) continue;
     const Attribute& target = attrs.attributes[tree.target];
-    AttributePrediction prediction;
-    if (tree.nodes.empty()) {
-      out.targets.emplace(target.name, std::move(prediction));
-      continue;
-    }
+    AttributePrediction* prediction = out->Add(target.name);
+    if (tree.nodes.empty()) continue;
     // Walk to a leaf.
     int node = 0;
     while (!tree.nodes[node].is_leaf()) {
@@ -407,35 +408,39 @@ Result<CasePrediction> DecisionTreeModel::Predict(
     }
     const Node& leaf = tree.nodes[node];
     if (tree.regression) {
-      prediction.predicted = Value::Double(leaf.mean);
-      prediction.probability = 1.0;
-      prediction.variance = leaf.variance;
-      ScoredValue sv;
-      sv.value = prediction.predicted;
+      prediction->predicted = Value::Double(leaf.mean);
+      prediction->probability = 1.0;
+      prediction->variance = leaf.variance;
+      prediction->histogram.reserve(1);
+      ScoredValue& sv = prediction->histogram.emplace_back();
+      sv.value = prediction->predicted;
       sv.probability = 1.0;
       sv.support = leaf.support;
       sv.variance = leaf.variance;
-      prediction.histogram.push_back(std::move(sv));
     } else {
-      prediction.histogram.reserve(leaf.class_counts.size());
+      ranker.Start(leaf.class_counts.size());
       for (size_t cls = 0; cls < leaf.class_counts.size(); ++cls) {
         double p = leaf.support > 0 ? leaf.class_counts[cls] / leaf.support : 0;
         if (p <= 0 && !options.include_zero_probability) continue;
-        ScoredValue sv;
-        sv.value = target.StateValue(static_cast<int>(cls));
-        sv.state = static_cast<int>(cls);
-        sv.probability = p;
-        sv.support = leaf.class_counts[cls];
-        prediction.histogram.push_back(std::move(sv));
+        ranker.Add(p, static_cast<int>(cls));
       }
-      RankHistogram(&prediction);
+      const size_t kept = ranker.Rank(depth);
+      prediction->histogram.reserve(kept);
+      for (size_t r = 0; r < kept; ++r) {
+        const int cls = ranker.id(r);
+        ScoredValue& sv = prediction->histogram.emplace_back();
+        sv.value = target.StateValue(cls);
+        sv.state = cls;
+        sv.probability = ranker.probability(r);
+        sv.support = leaf.class_counts[static_cast<size_t>(cls)];
+      }
+      prediction->TakeTop();
     }
     // Every case in the leaf backs the prediction, not only the top class's.
-    prediction.support = leaf.support;
-    out.targets.emplace(target.name, std::move(prediction));
+    prediction->support = leaf.support;
   }
   // dmx-hot-end(dt-predict)
-  return out;
+  return Status::OK();
 }
 
 namespace {

@@ -89,9 +89,10 @@ const std::string& LinearRegressionModel::service_name() const {
   return kServiceName;
 }
 
-std::vector<double> LinearRegressionModel::FeatureVector(
-    const DataCase& c) const {
-  std::vector<double> x(features_.size(), 0.0);
+void LinearRegressionModel::FeatureVector(const DataCase& c,
+                                          std::vector<double>* out) const {
+  std::vector<double>& x = *out;
+  x.assign(features_.size(), 0.0);
   for (size_t f = 0; f < features_.size(); ++f) {
     const Feature& feature = features_[f];
     switch (feature.kind) {
@@ -123,7 +124,6 @@ std::vector<double> LinearRegressionModel::FeatureVector(
       }
     }
   }
-  return x;
 }
 
 // Loops here are over the (fixed-size) feature vector; the per-case guard
@@ -132,7 +132,8 @@ std::vector<double> LinearRegressionModel::FeatureVector(
 Status LinearRegressionModel::ConsumeCase(const AttributeSet& attrs,
                                           const DataCase& c) {
   (void)attrs;
-  std::vector<double> x = FeatureVector(c);
+  std::vector<double> x;
+  FeatureVector(c, &x);
   const size_t f = features_.size();
   case_count_ += c.weight;
   for (TargetRegression& reg : targets_) {
@@ -187,35 +188,35 @@ Status LinearRegressionModel::Solve(const TargetRegression& reg) const {
   return Status::OK();
 }
 
-Result<CasePrediction> LinearRegressionModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
-  (void)options;
+Status LinearRegressionModel::PredictInto(const AttributeSet& attrs,
+                                          const DataCase& input,
+                                          const PredictOptions& options,
+                                          CasePrediction* out) const {
   // dmx-hot-begin(lr-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
-  std::vector<double> x = FeatureVector(input);
+  out->Clear();
+  std::vector<double>& x = out->scratch().reals[0];
+  FeatureVector(input, &x);
   for (const TargetRegression& reg : targets_) {
+    if (options.AttributeDepth(reg.target) == 0) continue;
     DMX_RETURN_IF_ERROR(Solve(reg));
     double y = 0;
     for (size_t i = 0; i < x.size(); ++i) y += reg.coefficients[i] * x[i];
-    AttributePrediction prediction;
-    prediction.histogram.reserve(1);
-    prediction.predicted = Value::Double(y);
-    prediction.probability = 1.0;
-    prediction.variance = reg.residual_variance;
-    prediction.support = reg.weight_sum;
-    ScoredValue sv;
-    sv.value = prediction.predicted;
+    AttributePrediction* prediction =
+        out->Add(attrs.attributes[reg.target].name);
+    prediction->predicted = Value::Double(y);
+    prediction->probability = 1.0;
+    prediction->variance = reg.residual_variance;
+    prediction->support = reg.weight_sum;
+    prediction->histogram.reserve(1);
+    ScoredValue& sv = prediction->histogram.emplace_back();
+    sv.value = prediction->predicted;
     sv.probability = 1.0;
     sv.support = reg.weight_sum;
     sv.variance = reg.residual_variance;
-    prediction.histogram.push_back(std::move(sv));
-    out.targets.emplace(attrs.attributes[reg.target].name,
-                        std::move(prediction));
   }
   // dmx-hot-end(lr-predict)
-  return out;
+  return Status::OK();
 }
 
 Result<ContentNodePtr> LinearRegressionModel::BuildContent(

@@ -52,9 +52,9 @@ class LinearRegressionModel : public TrainedModel {
 
   Status ConsumeCase(const AttributeSet& attrs, const DataCase& c) override;
 
-  Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input,
-                                 const PredictOptions& options) const override;
+  Status PredictInto(const AttributeSet& attrs, const DataCase& input,
+                     const PredictOptions& options,
+                     CasePrediction* out) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 
@@ -65,8 +65,8 @@ class LinearRegressionModel : public TrainedModel {
   void set_case_count(double n) { case_count_ = n; }
 
   /// Assembles a case's feature vector (missing continuous inputs impute 0;
-  /// indicator features answer 0/1).
-  std::vector<double> FeatureVector(const DataCase& c) const;
+  /// indicator features answer 0/1), into `x`.
+  void FeatureVector(const DataCase& c, std::vector<double>* x) const;
 
  private:
   /// Solves the ridge normal equations for a target (cached until the next

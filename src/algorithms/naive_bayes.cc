@@ -291,27 +291,29 @@ NaiveBayesModel::BuildTables(const AttributeSet& attrs) const {
   return tables;
 }
 
-Result<CasePrediction> NaiveBayesModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
+Status NaiveBayesModel::PredictInto(const AttributeSet& attrs,
+                                    const DataCase& input,
+                                    const PredictOptions& options,
+                                    CasePrediction* out) const {
   // dmx-hot-begin(nb-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
   const ScoringTables& tables = Tables(attrs);
-  CasePrediction out;
-  // Per-class and per-group scratch, reused across targets; assignment and
-  // clear() keep the capacity.
-  std::vector<double> log_post;
-  std::vector<int> items;
+  out->Clear();
+  // Per-class and per-group scratch, reused across targets and cases;
+  // assignment and clear() keep the capacity.
+  PredictScratch& scratch = out->scratch();
+  std::vector<double>& log_post = scratch.reals[0];
+  std::vector<int>& items = scratch.ints;
+  HistogramRanker& ranker = scratch.ranker;
   for (size_t t = 0; t < targets_.size(); ++t) {
     const TargetStats& stats = targets_[t];
+    const size_t depth = options.AttributeDepth(stats.target);
+    if (depth == 0) continue;
     const ScoringTables::Target& scoring = tables.targets[t];
     const Attribute& target = attrs.attributes[stats.target];
     const size_t num_classes = scoring.num_classes;
-    AttributePrediction prediction;
-    if (num_classes == 0) {
-      out.targets.emplace(target.name, std::move(prediction));
-      continue;
-    }
+    AttributePrediction* prediction = out->Add(target.name);
+    if (num_classes == 0) continue;
 
     log_post = scoring.log_prior;
     for (const ScoringTables::Input& term : scoring.inputs) {
@@ -361,23 +363,28 @@ Result<CasePrediction> NaiveBayesModel::Predict(
       lp = std::exp(lp - max_log);
       norm += lp;
     }
-    prediction.histogram.reserve(num_classes);
+    ranker.Start(num_classes);
     for (size_t cls = 0; cls < num_classes; ++cls) {
       double p = norm > 0 ? log_post[cls] / norm : 0;
       if (p <= 0 && !options.include_zero_probability) continue;
-      ScoredValue sv;
+      ranker.Add(p, static_cast<int>(cls));
+    }
+    // Only the ranked classes become histogram entries.
+    const size_t kept = ranker.Rank(depth);
+    prediction->histogram.reserve(kept);
+    for (size_t r = 0; r < kept; ++r) {
+      const size_t cls = static_cast<size_t>(ranker.id(r));
+      ScoredValue& sv = prediction->histogram.emplace_back();
       sv.value = target.StateValue(static_cast<int>(cls));
       sv.state = static_cast<int>(cls);
-      sv.probability = p;
+      sv.probability = ranker.probability(r);
       sv.support =
           cls < stats.class_counts.size() ? stats.class_counts[cls] : 0;
-      prediction.histogram.push_back(std::move(sv));
     }
-    RankHistogram(&prediction);
-    out.targets.emplace(target.name, std::move(prediction));
+    prediction->TakeTop();
   }
   // dmx-hot-end(nb-predict)
-  return out;
+  return Status::OK();
 }
 
 Result<ContentNodePtr> NaiveBayesModel::BuildContent(

@@ -64,9 +64,9 @@ class NaiveBayesModel : public TrainedModel {
 
   Status ConsumeCase(const AttributeSet& attrs, const DataCase& c) override;
 
-  Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input,
-                                 const PredictOptions& options) const override;
+  Status PredictInto(const AttributeSet& attrs, const DataCase& input,
+                     const PredictOptions& options,
+                     CasePrediction* out) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 

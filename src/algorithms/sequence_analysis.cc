@@ -85,21 +85,23 @@ Status MarkovSequenceModel::ConsumeCase(const AttributeSet& attrs,
   return Status::OK();
 }
 
-Result<CasePrediction> MarkovSequenceModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
+Status MarkovSequenceModel::PredictInto(const AttributeSet& attrs,
+                                        const DataCase& input,
+                                        const PredictOptions& options,
+                                        CasePrediction* out) const {
   // dmx-hot-begin(sa-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
+  out->Clear();
+  HistogramRanker& ranker = out->scratch().ranker;
   for (const Chain& chain : chains_) {
+    const size_t depth = options.GroupDepth(chain.group);
+    if (depth == 0) continue;
     const NestedGroup& group = attrs.groups[chain.group];
     // OrderedItems sorts the case's items by sequence time into a fresh
     // buffer; a model has at most a handful of chains.
     std::vector<int> sequence =  // dmx-lint: allow(hot-loop-alloc)
         OrderedItems(group, input.groups[chain.group]);
     const size_t vocabulary = group.keys.size();
-    AttributePrediction prediction;
-    prediction.histogram.reserve(vocabulary);
 
     // Distribution over the next item: transition row of the last item, or
     // the initial distribution for empty histories.
@@ -114,26 +116,34 @@ Result<CasePrediction> MarkovSequenceModel::Predict(
     if (counts != nullptr) {
       for (double n : *counts) total += n;
     }
+    auto count_of = [counts](size_t item) {
+      return counts != nullptr && item < counts->size() ? (*counts)[item] : 0;
+    };
+    ranker.Start(vocabulary);
     for (size_t item = 0; item < vocabulary; ++item) {
-      double count =
-          counts != nullptr && item < counts->size() ? (*counts)[item] : 0;
-      double p = (count + alpha_) /
-                 (total + alpha_ * static_cast<double>(vocabulary));
+      const double count = count_of(item);
       if (count <= 0 && !options.include_zero_probability && total > 0) {
         continue;
       }
-      ScoredValue sv;
+      ranker.Add((count + alpha_) /
+                     (total + alpha_ * static_cast<double>(vocabulary)),
+                 static_cast<int>(item));
+    }
+    const size_t kept = ranker.Rank(depth);
+    AttributePrediction* prediction = out->Add(group.name);
+    prediction->histogram.reserve(kept);
+    for (size_t r = 0; r < kept; ++r) {
+      const size_t item = static_cast<size_t>(ranker.id(r));
+      ScoredValue& sv = prediction->histogram.emplace_back();
       sv.value = group.keys[item];
       sv.state = static_cast<int>(item);
-      sv.probability = p;
-      sv.support = count;
-      prediction.histogram.push_back(std::move(sv));
+      sv.probability = ranker.probability(r);
+      sv.support = count_of(item);
     }
-    RankHistogram(&prediction);
-    out.targets.emplace(group.name, std::move(prediction));
+    prediction->TakeTop();
   }
   // dmx-hot-end(sa-predict)
-  return out;
+  return Status::OK();
 }
 
 Result<ContentNodePtr> MarkovSequenceModel::BuildContent(

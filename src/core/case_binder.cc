@@ -529,7 +529,9 @@ Status CaseBinder::BindCaseIntoImpl(const Row& row, const AttributeSet& attrs,
       }
     }
   }
-  std::vector<int> derived_items;
+  // Relation-derived item ids of one group, collected in the binder's
+  // scratch so a case does not regrow a fresh vector.
+  std::vector<int>& derived_items = derived_items_;
   for (const GroupBinding& binding : groups_) {
     if (binding.source_column < 0 || binding.key_nested_column < 0) continue;
     const Value& cell = row[binding.source_column];

@@ -136,6 +136,8 @@ class CaseBinder {
   size_t group_count_ = 0;
   /// Discretizer samples per attribute index (training pass 1).
   std::map<int, std::vector<double>> samples_;
+  /// Binding scratch kept across cases, so a binder serves one thread.
+  mutable std::vector<int> derived_items_;
 };
 
 }  // namespace dmx

@@ -91,13 +91,21 @@ Status MiningModel::InsertCases(RowsetReader* reader,
   return Status::OK();
 }
 
-Result<CasePrediction> MiningModel::Predict(const DataCase& input,
-                                            const PredictOptions& options) const {
+Status MiningModel::PredictInto(const DataCase& input,
+                                const PredictOptions& options,
+                                CasePrediction* out) const {
   if (trained_ == nullptr) {
     return InvalidState() << "model '" << definition_.model_name
                           << "' has not been trained (INSERT INTO it first)";
   }
-  return trained_->Predict(attrs_, input, options);
+  return trained_->PredictInto(attrs_, input, options, out);
+}
+
+Result<CasePrediction> MiningModel::Predict(
+    const DataCase& input, const PredictOptions& options) const {
+  CasePrediction out;
+  DMX_RETURN_IF_ERROR(PredictInto(input, options, &out));
+  return out;
 }
 
 Result<ContentNodePtr> MiningModel::BuildContent() const {

@@ -5,7 +5,7 @@
 // paper's model operations:
 //
 //   INSERT INTO   -> InsertCases()  (population / refresh)
-//   PREDICTION JOIN -> Predict()    (driven by core/prediction_join)
+//   PREDICTION JOIN -> PredictInto() (driven by core/prediction_join)
 //   SELECT ... .CONTENT -> BuildContent()
 //   DELETE FROM   -> Reset()
 //
@@ -56,7 +56,12 @@ class MiningModel {
   Status InsertCases(RowsetReader* reader,
                      const std::vector<InsertColumn>* mapping);
 
-  /// Prediction entry point for bound cases (see prediction_join.cc).
+  /// Prediction entry point for bound cases (see prediction_join.cc): scores
+  /// the targets `options` requests into the caller's reused buffer.
+  Status PredictInto(const DataCase& input, const PredictOptions& options,
+                     CasePrediction* out) const;
+
+  /// PredictInto a fresh CasePrediction.
   Result<CasePrediction> Predict(const DataCase& input,
                                  const PredictOptions& options) const;
 

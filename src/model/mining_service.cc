@@ -2,6 +2,14 @@
 
 namespace dmx {
 
+Result<CasePrediction> TrainedModel::Predict(
+    const AttributeSet& attrs, const DataCase& input,
+    const PredictOptions& options) const {
+  CasePrediction out;
+  DMX_RETURN_IF_ERROR(PredictInto(attrs, input, options, &out));
+  return out;
+}
+
 Status TrainedModel::ConsumeCase(const AttributeSet& attrs, const DataCase& c) {
   (void)attrs;
   (void)c;

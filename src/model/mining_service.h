@@ -4,7 +4,10 @@
 // algorithm"). A service declares its capabilities (surfaced verbatim in the
 // MINING_SERVICES schema rowset), validates USING-clause parameters, and
 // produces TrainedModel instances that can predict, be browsed as a content
-// graph, and optionally be trained incrementally.
+// graph, and optionally be trained incrementally. A TrainedModel predicts
+// through one entry point, PredictInto, which scores a case into a buffer
+// the caller reuses across cases and scores only the targets the caller
+// asks for (see model/prediction.h).
 
 #ifndef DMX_MODEL_MINING_SERVICE_H_
 #define DMX_MODEL_MINING_SERVICE_H_
@@ -64,12 +67,19 @@ class TrainedModel {
   /// Number of training cases consumed (weighted).
   virtual double case_count() const = 0;
 
-  /// Computes predictions for every output attribute/group of `attrs`.
-  /// `input` carries the bound input attribute values; output slots are
-  /// ignored (they are what is being predicted).
-  virtual Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                         const DataCase& input,
-                                         const PredictOptions& options) const = 0;
+  /// Scores `input` into the caller-owned `out`, which is cleared first and
+  /// whose storage is reused: only the targets `options` requests, each
+  /// histogram ranked only as deep as requested. `input` carries the bound
+  /// input attribute values; output slots are ignored (they are what is
+  /// being predicted). The one entry point every service implements.
+  virtual Status PredictInto(const AttributeSet& attrs, const DataCase& input,
+                             const PredictOptions& options,
+                             CasePrediction* out) const = 0;
+
+  /// PredictInto a fresh CasePrediction.
+  Result<CasePrediction> Predict(const AttributeSet& attrs,
+                                 const DataCase& input,
+                                 const PredictOptions& options) const;
 
   /// Renders the learned structure as a content graph rooted at a
   /// NodeType::kModel node.

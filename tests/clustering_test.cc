@@ -78,7 +78,8 @@ TEST(ClusteringTest, ResponsibilitiesSumToOne) {
   for (int i = 0; i < 20; ++i) {
     DataCase probe = MakeCase(attrs, {rng.NextDouble() * 25,
                                       rng.NextDouble() * 25});
-    auto resp = clustering.Responsibilities(attrs, probe, false);
+    std::vector<double> resp;
+    clustering.Responsibilities(attrs, probe, false, &resp);
     double total = 0;
     for (double r : resp) {
       EXPECT_GE(r, 0);
